@@ -1,0 +1,325 @@
+"""The Segre cubic and the Igusa quartic in symmetric coordinates.
+
+Both threefolds live in the hyperplane sum(X_i) = 0 inside P^5:
+
+    cubic:    sum X_i = 0,  sum X_i^3 = 0
+    quartic:  sum X_i = 0,  (sum X_i^2)^2 - 4 sum X_i^4 = 0
+
+In these coordinates both are invariant under all 720 coordinate
+permutations.  The quartic is singular along fifteen lines, one per way of
+splitting the six coordinates into three pairs; the cubic has ten nodes,
+the sign classes of permutations of (1,1,1,-1,-1,-1).  The two are
+projectively dual: the tangent-hyperplane (Gauss) map of the cubic,
+normalized back into the sum-zero hyperplane, lands on the quartic.
+
+Exact operations take rational coordinates; the duality sampler falls back
+to double precision when a sampled point of the cubic is irrational.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from dataclasses import dataclass
+from enum import Enum
+from fractions import Fraction
+from typing import Sequence
+
+from .exact import RationalMatrix, integer_vector
+
+__all__ = [
+    "Hypersurface",
+    "evaluate",
+    "gradient",
+    "is_singular_point",
+    "PairLine",
+    "pair_partition_lines",
+    "line_point",
+    "line_contains",
+    "line_intersections",
+    "segre_nodes",
+    "pair_pattern_point",
+    "random_cubic_points",
+    "search_extra_singular_points",
+    "gauss_image",
+    "DualityReport",
+    "duality_sample_check",
+]
+
+
+class Hypersurface(str, Enum):
+    SEGRE_CUBIC = "SegreCubic"
+    IGUSA_QUARTIC = "IgusaQuartic"
+
+
+def evaluate(surface: Hypersurface, coords: Sequence) -> tuple:
+    """Values of the two defining forms (linear, cubic or quartic)."""
+    if len(coords) != 6:
+        raise ValueError("expected six homogeneous coordinates")
+    linear = sum(coords)
+    if surface == Hypersurface.SEGRE_CUBIC:
+        return linear, sum(x**3 for x in coords)
+    p2 = sum(x * x for x in coords)
+    p4 = sum(x**4 for x in coords)
+    return linear, p2 * p2 - 4 * p4
+
+
+def gradient(surface: Hypersurface, coords: Sequence) -> tuple:
+    """Gradient of the degree form (the linear form's gradient is the
+    all-ones vector, which callers supply themselves)."""
+    if len(coords) != 6:
+        raise ValueError("expected six homogeneous coordinates")
+    if surface == Hypersurface.SEGRE_CUBIC:
+        return tuple(3 * x * x for x in coords)
+    p2 = sum(x * x for x in coords)
+    return tuple(4 * x * p2 - 16 * x**3 for x in coords)
+
+
+def is_singular_point(surface: Hypersurface, coords: Sequence[Fraction | int]) -> bool:
+    """Exact singularity test at a point of the threefold.
+
+    The threefold is cut out by the linear and the degree form together, so
+    a point is singular when the 2x6 Jacobian of that pair drops rank.
+    Points not on the threefold are rejected.
+    """
+    values = evaluate(surface, [Fraction(x) for x in coords])
+    if values != (0, 0):
+        raise ValueError(f"point is not on {surface.value}: forms evaluate to {values}")
+    jac = RationalMatrix.from_rows([[1] * 6, list(gradient(surface, coords))])
+    return jac.rank() < 2
+
+
+@dataclass(frozen=True)
+class PairLine:
+    """A line of the quartic: coordinates constant on three index pairs,
+    with the three pair values summing to zero."""
+
+    pairs: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+
+    def __str__(self) -> str:
+        return "".join(f"({i + 1},{j + 1})" for i, j in self.pairs)
+
+
+def pair_partition_lines() -> tuple[PairLine, ...]:
+    """The fifteen pairings of the six coordinates into three pairs."""
+
+    def matchings(indices):
+        if not indices:
+            yield ()
+            return
+        first = indices[0]
+        for k in range(1, len(indices)):
+            rest = indices[1:k] + indices[k + 1 :]
+            for tail in matchings(rest):
+                yield ((first, indices[k]),) + tail
+
+    return tuple(PairLine(m) for m in matchings(tuple(range(6))))
+
+
+def line_point(line: PairLine, a, b, c=None) -> tuple:
+    """The point of the line with pair values (a, b, c); c defaults to
+    -a-b so the result is always on the quartic."""
+    if c is None:
+        c = -a - b
+    if a + b + c != 0:
+        raise ValueError("pair values must sum to zero")
+    coords = [0] * 6
+    for value, (i, j) in zip((a, b, c), line.pairs):
+        coords[i] = value
+        coords[j] = value
+    if all(x == 0 for x in coords):
+        raise ValueError("zero vector is not a projective point")
+    return tuple(coords)
+
+
+def line_contains(line: PairLine, coords: Sequence[Fraction | int]) -> bool:
+    return (
+        all(coords[i] == coords[j] for i, j in line.pairs)
+        and sum(coords) == 0
+    )
+
+
+def line_intersections() -> dict[tuple[int, ...], tuple[int, ...]]:
+    """All pairwise intersection points of the fifteen lines.
+
+    Two lines meet exactly when their pairings share one pair; the merged
+    pairing then forces four coordinates to one value and the shared pair
+    to minus twice that value.  Returns canonical point -> sorted tuple of
+    indices of the lines through it.
+    """
+    lines = pair_partition_lines()
+    incidence: dict[tuple[int, ...], set[int]] = {}
+    for a, b in itertools.combinations(range(len(lines)), 2):
+        shared = set(lines[a].pairs) & set(lines[b].pairs)
+        if len(shared) != 1:
+            continue
+        pair = shared.pop()
+        coords = [1] * 6
+        for i in pair:
+            coords[i] = -2
+        point = integer_vector(coords)
+        incidence.setdefault(point, set()).update((a, b))
+    return {point: tuple(sorted(ls)) for point, ls in incidence.items()}
+
+
+def segre_nodes() -> tuple[tuple[int, ...], ...]:
+    """The ten nodes of the cubic: permutations of (1,1,1,-1,-1,-1) up to
+    global sign, normalized so coordinate zero carries +1."""
+    nodes = []
+    for extra in itertools.combinations(range(1, 6), 2):
+        plus = {0, *extra}
+        nodes.append(tuple(1 if i in plus else -1 for i in range(6)))
+    return tuple(nodes)
+
+
+def pair_pattern_point(a, b, c) -> tuple:
+    """The cubic point (a, b, c, -a, -b, -c); both odd forms vanish."""
+    return (a, b, c, -a, -b, -c)
+
+
+_NODE = (1, 1, 1, -1, -1, -1)
+
+
+def random_cubic_points(count: int, seed: int) -> list[tuple[int, ...]]:
+    """Rational points of the cubic, by chords through a node.
+
+    A generic line through a node meets the cubic doubly at the node and at
+    one further point, which is therefore rational: for a direction V with
+    sum(V) = 0 the residual intersection sits at t = -3 sum(N_i V_i^2) /
+    sum(V_i^3).  Points are canonically scaled to integer coordinates.
+    """
+    rng = random.Random(seed)
+    points: list[tuple[int, ...]] = []
+    while len(points) < count:
+        v = [rng.randint(-9, 9) for _ in range(5)]
+        v.append(-sum(v))
+        cubic_v = sum(x**3 for x in v)
+        if cubic_v == 0:
+            continue
+        quad = sum(n * x * x for n, x in zip(_NODE, v))
+        if quad == 0:
+            continue
+        t = Fraction(-3 * quad, cubic_v)
+        point = integer_vector([n + t * x for n, x in zip(_NODE, v)])
+        if all(x == 0 for x in point):
+            continue
+        points.append(point)
+    return points
+
+
+def search_extra_singular_points(count: int, seed: int) -> list[tuple[int, ...]]:
+    """Randomized completeness check on the cubic's singular locus.
+
+    Samples ``count`` rational points of the cubic and returns any that are
+    singular yet not among the ten nodes.  Expected to come back empty.
+    """
+    known = {integer_vector(n) for n in segre_nodes()}
+    extras = []
+    for point in random_cubic_points(count, seed):
+        if point in known:
+            continue
+        if is_singular_point(Hypersurface.SEGRE_CUBIC, point):
+            extras.append(point)
+    return extras
+
+
+def gauss_image(coords: Sequence) -> tuple:
+    """Tangent-hyperplane image of a cubic point, rescaled into the
+    sum-zero hyperplane: Y_i = X_i^2 - (1/6) sum X^2.
+
+    At a node the gradient is proportional to the all-ones vector and the
+    image collapses to zero; callers treat that as "no tangent direction".
+    """
+    p2 = sum(x * x for x in coords)
+    shift = p2 / 6.0 if isinstance(p2, float) else Fraction(p2) / 6
+    return tuple(x * x - shift for x in coords)
+
+
+@dataclass(frozen=True)
+class DualityReport:
+    samples: int
+    exact_samples: int
+    skipped: int
+    max_residual: float
+    tolerance: float
+    seed: int
+
+    @property
+    def passed(self) -> bool:
+        return self.samples > 0 and self.max_residual <= self.tolerance
+
+
+def _rational_square_root(value: Fraction):
+    if value < 0:
+        return None
+    num = math.isqrt(value.numerator)
+    den = math.isqrt(value.denominator)
+    if num * num == value.numerator and den * den == value.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def duality_sample_check(sample_count: int, tolerance: float, seed: int) -> DualityReport:
+    """Sampled verification that the cubic's Gauss map lands on the quartic.
+
+    Cubic points are produced by fixing four random coordinates on the
+    sum-zero hyperplane and solving the remaining quadratic; rational
+    discriminants give exact samples (residual must be exactly zero),
+    irrational ones go through double precision, where the quartic residual
+    of the unit-normalized image must stay within ``tolerance``.  Samples
+    whose image collapses (nodes and their float neighborhoods) are
+    reported as skipped, not failed.
+    """
+    if sample_count < 1:
+        raise ValueError("need at least one sample")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    rng = random.Random(seed)
+    samples = exact_samples = skipped = 0
+    max_residual = 0.0
+    while samples < sample_count:
+        head = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
+        sigma = sum(head)
+        if sigma == 0:
+            continue
+        tau = sum(x**3 for x in head)
+        product = Fraction(sigma**3 - tau, 3 * sigma)
+        disc = sigma * sigma - 4 * product
+        if disc < 0:
+            continue
+        root = _rational_square_root(disc)
+        if root is not None:
+            tail = [(-sigma + root) / 2, (-sigma - root) / 2]
+            point = tuple(head + tail)
+            if len({x * x for x in point}) == 1:
+                skipped += 1
+                continue
+            image = gauss_image(point)
+            _, residual = evaluate(Hypersurface.IGUSA_QUARTIC, image)
+            if residual != 0:
+                # counts as an infinite residual; the report will fail
+                max_residual = math.inf
+            samples += 1
+            exact_samples += 1
+            continue
+        root_f = math.sqrt(float(disc))
+        tail_f = [(-float(sigma) + root_f) / 2, (-float(sigma) - root_f) / 2]
+        point_f = [float(x) for x in head] + tail_f
+        image_f = gauss_image(point_f)
+        scale = max(abs(y) for y in image_f)
+        if scale < 1e-12 * max(1.0, max(x * x for x in point_f)):
+            skipped += 1
+            continue
+        unit = [y / scale for y in image_f]
+        _, residual_f = evaluate(Hypersurface.IGUSA_QUARTIC, unit)
+        max_residual = max(max_residual, abs(residual_f))
+        samples += 1
+    return DualityReport(
+        samples=samples,
+        exact_samples=exact_samples,
+        skipped=skipped,
+        max_residual=max_residual,
+        tolerance=tolerance,
+        seed=seed,
+    )
