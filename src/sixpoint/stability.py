@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import RationalMatrix, integer_vector
+from .exact import EchelonForm, RationalMatrix, echelon, in_span, integer_vector
 
 __all__ = [
     "PointConfiguration",
@@ -129,43 +129,6 @@ class StabilityVerdict:
         return tuple(w for w in self.witnesses if not w.violation)
 
 
-def _reduce_against(vec: list[Fraction], rows: list[list[Fraction]], pivots: list[int]):
-    for row, pc in zip(rows, pivots):
-        if vec[pc] != 0:
-            f = vec[pc]
-            for k in range(len(vec)):
-                vec[k] -= f * row[k]
-    return vec
-
-
-def _row_space(points: Sequence[tuple[int, ...]]):
-    """RREF rows and pivot columns for the span of the given points."""
-    width = len(points[0])
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for p in points:
-        vec = _reduce_against([Fraction(x) for x in p], rows, pivots)
-        lead = next((k for k, x in enumerate(vec) if x != 0), None)
-        if lead is None:
-            continue
-        inv = vec[lead]
-        vec = [x / inv for x in vec]
-        for row in rows:
-            if row[lead] != 0:
-                f = row[lead]
-                for k in range(width):
-                    row[k] -= f * vec[k]
-        rows.append(vec)
-        pivots.append(lead)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [rows[i] for i in order], [pivots[i] for i in order]
-
-
-def _contains(rows, pivots, point: tuple[int, ...]) -> bool:
-    vec = _reduce_against([Fraction(x) for x in point], rows, pivots)
-    return all(x == 0 for x in vec)
-
-
 def stability_status(config: PointConfiguration, weights: WeightVector) -> StabilityVerdict:
     """Exhaustive subspace check of the weighted stability criterion.
 
@@ -183,31 +146,27 @@ def stability_status(config: PointConfiguration, weights: WeightVector) -> Stabi
     # a proper subspace spanned by configuration points is spanned by at
     # most d of its distinct support points, so small subsets suffice
     support = config.support()
-    seen_spans: set[tuple[tuple[int, ...], ...]] = set()
+    seen_spans: set[EchelonForm] = set()
     found: dict[tuple[int, ...], Witness] = {}
     for size in range(1, min(d, len(support)) + 1):
         for subset in itertools.combinations(support, size):
-            rows, pivots = _row_space(subset)
-            if len(rows) - 1 > d - 1:
+            span = echelon(subset)
+            dim = len(span[1]) - 1
+            if dim > d - 1 or span in seen_spans:
                 continue
-            key = tuple(integer_vector(r) for r in rows)
-            if key in seen_spans:
-                continue
-            seen_spans.add(key)
-            marks = tuple(
-                i for i in range(n) if _contains(rows, pivots, config.points[i])
-            )
+            seen_spans.add(span)
+            marks = tuple(i for i in range(n) if in_span(span, config.points[i]))
             total = sum((weights.weights[i] for i in marks), Fraction(0))
-            bound = Fraction(len(rows))  # dim W + 1
+            bound = Fraction(dim + 1)
             if total < bound:
                 continue
             # the same mark set can register at several span dimensions
             # (coincident marks lie on every line through them); keep the
             # minimal subspace, which is the span of the marks themselves
-            if marks in found and found[marks].dim <= len(rows) - 1:
+            if marks in found and found[marks].dim <= dim:
                 continue
             found[marks] = Witness(
-                dim=len(rows) - 1,
+                dim=dim,
                 marks=marks,
                 weight=total,
                 violation=total > bound,
@@ -231,18 +190,16 @@ def stabilizer_dimension(config: PointConfiguration) -> int:
     dimension is the kernel dimension of the assembled system.
     """
     m = config.d + 1
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for point in config.support():
         for a, b in itertools.combinations(range(m), 2):
-            row = [Fraction(0)] * (m * m)
+            row = [0] * (m * m)
             for c in range(m):
                 row[a * m + c] += point[c] * point[b]
                 row[b * m + c] -= point[c] * point[a]
             rows.append(row)
-    trace = [Fraction(int(r == c)) for r in range(m) for c in range(m)]
-    rows.append(trace)
-    system = RationalMatrix.from_rows(rows)
-    return system.cols - system.rank()
+    rows.append([int(r == c) for r in range(m) for c in range(m)])  # trace
+    return m * m - len(echelon(rows)[1])
 
 
 @dataclass(frozen=True)
@@ -310,37 +267,22 @@ def move_flag_to_standard_position(flag: Sequence[tuple[int, ...]], d: int) -> R
     basis vectors.
     """
     m = d + 1
-    columns = [list(p) for p in flag]
+    columns = [tuple(p) for p in flag]
     for k in range(m):
         if len(columns) == m:
             break
-        unit = [Fraction(int(i == k)) for i in range(m)]
+        unit = tuple(int(i == k) for i in range(m))
         trial = columns + [unit]
-        if RationalMatrix.from_rows(trial).rank() == len(trial):
+        if len(echelon(trial)[1]) == len(trial):
             columns.append(unit)
-    basis = RationalMatrix.from_rows(
-        [[Fraction(columns[j][i]) for j in range(m)] for i in range(m)]
-    )
-    return basis.inverse()
-
-
-_CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-
-
-def veronese_matrix(config: PointConfiguration) -> RationalMatrix:
-    """The 6-column matrix of degree-2 monomials x^2, xy, xz, y^2, yz, z^2
-    evaluated at each point of a plane configuration."""
-    if config.d != 2:
-        raise ValueError("degree-2 monomial evaluation needs plane configurations")
-    rows = []
-    for x, y, z in config.points:
-        rows.append([x * x, x * y, x * z, y * y, y * z, z * z])
-    return RationalMatrix.from_rows(rows)
+    return RationalMatrix(m, m, [columns[j][i] for i in range(m) for j in range(m)]).inverse()
 
 
 def lies_on_conic(config: PointConfiguration) -> bool:
     """Whether some conic, possibly degenerate, passes through all six
-    points.  Equivalent to the rank of the monomial matrix being < 6."""
+    points.  Equivalent to the rank of the matrix of degree-2 monomials
+    x^2, xy, xz, y^2, yz, z^2 at the points being < 6."""
     if config.d != 2 or config.n != 6:
         raise ValueError("conic membership is a test for six points in the plane")
-    return veronese_matrix(config).rank() <= 5
+    rows = [(x * x, x * y, x * z, y * y, y * z, z * z) for x, y, z in config.points]
+    return len(echelon(rows)[1]) <= 5

@@ -26,17 +26,17 @@ The classification key for a signature:
     0        1                        no                     XI
 
 Stabilizer dimensions (2 for I, 1 for II and VII, 0 otherwise) and the
-degeneration targets are machine checks on the templates; stratum
-dimensions inside the configuration product (6,7,8,8,9,9,8,9,10,9,10) are
-recorded here for reference only and are not recomputed.
+degeneration targets are machine checks on the templates.  The stratum
+dimensions inside the configuration product (6,7,8,8,8,9,8,9,10,9,10) are
+checked by the test suite as 12 minus the rank of the linearized incidence
+conditions at each template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import integer_vector
+from .exact import EchelonForm, echelon, in_span
 from .stability import (
     OneParameterSubgroup,
     PointConfiguration,
@@ -76,9 +76,9 @@ STRATUM_CLOSED_ORBIT = {
     "VII": "VII", "VIII": "VII", "IX": "VII", "X": "VII", "XI": "VII",
 }
 
-# reference values, not asserted computationally
+# dimension inside the configuration product (P^2)^6
 STRATUM_DIMENSION = {
-    "I": 6, "II": 7, "III": 8, "IV": 8, "V": 9, "VI": 9,
+    "I": 6, "II": 7, "III": 8, "IV": 8, "V": 8, "VI": 9,
     "VII": 8, "VIII": 9, "IX": 10, "X": 9, "XI": 10,
 }
 
@@ -105,16 +105,6 @@ class StratumSignature:
         return tuple(cls for cls in self.coincidence if len(cls) == 2)
 
 
-def _cross(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return integer_vector(
-        (
-            p[1] * q[2] - p[2] * q[1],
-            p[2] * q[0] - p[0] * q[2],
-            p[0] * q[1] - p[1] * q[0],
-        )
-    )
-
-
 def stratum_signature(config: PointConfiguration) -> StratumSignature:
     """Coincidence-and-collinearity type of a plane configuration.
 
@@ -130,19 +120,17 @@ def stratum_signature(config: PointConfiguration) -> StratumSignature:
         groups.setdefault(p, []).append(i)
     coincidence = tuple(sorted(tuple(v) for v in groups.values()))
     support = list(groups)
-    lines: dict[tuple[int, ...], LineRecord] = {}
+    lines: dict[EchelonForm, LineRecord] = {}
     for a in range(len(support)):
         for b in range(a + 1, len(support)):
-            normal = _cross(support[a], support[b])
-            if normal in lines:
+            line = echelon((support[a], support[b]))
+            if line in lines:
                 continue
-            on_line = [
-                p for p in support if sum(x * y for x, y in zip(normal, p)) == 0
-            ]
+            on_line = [p for p in support if in_span(line, p)]
             marks = tuple(sorted(i for p in on_line for i in groups[p]))
             if len(on_line) < 3 and len(marks) < 4:
                 continue
-            lines[normal] = LineRecord(
+            lines[line] = LineRecord(
                 marks=marks, support=len(on_line), weighted=len(marks)
             )
     return StratumSignature(

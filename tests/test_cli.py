@@ -244,6 +244,21 @@ def test_hypersurface_singular_command(capsys):
         ["hypersurface", "singular", "--surface", "igusa", "--point", "1,1,1,-1,-1,-1"],
     )
     assert code == 2 and "not on" in err
+    code, _, err = run(
+        capsys,
+        ["hypersurface", "singular", "--surface", "segre", "--point", "1,2,3,4,5,6"],
+    )
+    assert "forms evaluate to 21, 441" in err and "Fraction" not in err
+
+
+def test_hypersurface_singular_rejects_the_zero_vector(capsys):
+    for surface in ("segre", "igusa"):
+        code, out, err = run(
+            capsys,
+            ["hypersurface", "singular", "--surface", surface, "--point", "0,0,0,0,0,0"],
+        )
+        assert code == 2 and out == ""
+        assert "zero vector is not a projective point" in err
 
 
 def test_hypersurface_lines_command(capsys):
@@ -271,6 +286,17 @@ def test_hypersurface_duality_command(capsys):
         ["hypersurface", "duality", "--samples", "100", "--tol", "1e-30", "--seed", "42"],
     )
     assert code == 1 and "pass: false" in out
+
+
+def test_non_finite_tolerance_is_rejected(capsys):
+    for tol in ("nan", "inf"):
+        for argv in (
+            ["hypersurface", "duality", "--samples", "20", "--tol", tol],
+            ["paper-report", "--samples", "5", "--tol", tol],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "", argv
+            assert "tolerance must be finite and positive" in err, argv
 
 
 def test_m2_command(capsys):

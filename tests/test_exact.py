@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from sixpoint.exact import RationalMatrix, integer_vector, parse_rational, span_dimension
+from sixpoint.exact import RationalMatrix, echelon, in_span, integer_vector, parse_rational
 
 
 def veronese_rows():
@@ -29,33 +31,32 @@ def test_rank_veronese_conic_matrix():
     assert RationalMatrix.from_rows(veronese_rows()).rank() == 5
 
 
-def test_kernel_full_rank_is_empty():
-    eye = RationalMatrix.from_rows([[1, 0], [0, 1]])
-    assert eye.kernel_basis() == []
+def test_echelon_span_examples():
+    # a point, three collinear points, the whole plane
+    assert echelon([(1, 0, 0)]) == (((1, 0, 0),), (0,))
+    assert echelon([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == (((1, 0, 0), (0, 1, 0)), (0, 1))
+    assert echelon([(1, 0, 0), (0, 1, 0), (0, 0, 1)])[1] == (0, 1, 2)
+    assert echelon([]) == ((), ())
+    assert echelon([(0, 0, 0)]) == ((), ())
 
 
-def test_kernel_of_sum_functional():
-    basis = RationalMatrix.from_rows([[1, 1, 1]]).kernel_basis()
-    assert len(basis) == 2
-    assert all(sum(v) == 0 for v in basis)
-    assert basis == [(1, -1, 0), (1, 0, -1)]
+def test_echelon_rows_are_reduced_and_primitive():
+    # the third row is the sum of the first two
+    rows, pivots = echelon([(2, 4, 6, 8), (-3, -6, 1, 0), (-1, -2, 7, 8)])
+    assert pivots == (0, 2)
+    assert rows == ((5, 10, 0, 2), (0, 0, 5, 6))
+    for row, pivot in zip(rows, pivots):
+        assert row[pivot] > 0 and all(x == 0 for x in row[:pivot])
+        assert all(other[pivot] == 0 for other in rows if other is not row)
 
 
-def test_kernel_veronese_is_the_conic():
-    basis = RationalMatrix.from_rows(veronese_rows()).kernel_basis()
-    # canonical form of the quadric y^2 - xz
-    assert basis == [(0, 0, 1, -1, 0, 0)]
-
-
-def test_span_dimension_examples():
-    assert span_dimension([(1, 0, 0)]) == 0
-    assert span_dimension([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 1
-    assert span_dimension([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 2
-
-
-def test_span_dimension_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        span_dimension([(1, 0, 0), (0, 0, 0)])
+def test_echelon_is_a_span_key():
+    # the same line given by different pairs of its points
+    line = echelon([(1, 0, 1), (0, 1, 1)])
+    assert echelon([(1, 1, 2), (1, -1, 0)]) == line
+    assert echelon([(3, 1, 4), (1, 0, 1), (2, 1, 3)]) == line
+    assert in_span(line, (5, -7, -2))
+    assert not in_span(line, (0, 0, 1))
 
 
 def test_entry_count_validated():
@@ -67,6 +68,9 @@ def test_integer_vector_canonicalization():
     assert integer_vector([Fraction(1, 2), Fraction(-3, 4)]) == (2, -3)
     assert integer_vector([Fraction(-2), Fraction(4)]) == (1, -2)
     assert integer_vector([0, 0]) == (0, 0)
+    assert integer_vector((0, -6, 4, 2)) == (0, 3, -2, -1)
+    assert integer_vector(["1/2", 0.25]) == (2, 1)
+    assert all(type(x) is int for x in integer_vector([Fraction(3, 2), 6]))
 
 
 def test_parse_rational():
@@ -87,18 +91,48 @@ def random_matrix(rng, rows, cols):
     )
 
 
-def test_rank_kernel_duality_on_random_matrices():
+def to_sympy(m):
+    return sympy.Matrix(
+        m.rows, m.cols, [sympy.Rational(e.numerator, e.denominator) for e in m.entries]
+    )
+
+
+def test_rank_and_inverse_match_sympy():
     rng = random.Random(2024)
     for _ in range(100):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = random_matrix(rng, rows, cols)
-        kernel = m.kernel_basis()
-        assert m.rank() + len(kernel) == cols
-        for vec in kernel:
-            image = [
-                sum(m.at(i, j) * vec[j] for j in range(cols)) for i in range(rows)
-            ]
-            assert all(x == 0 for x in image)
+        oracle = to_sympy(m)
+        assert m.rank() == oracle.rank()
+        if rows == cols and oracle.rank() == rows:
+            inverse = oracle.inv()
+            assert m.inverse().entries == tuple(
+                Fraction(int(e.p), int(e.q)) for e in inverse
+            )
+
+
+integer_rows = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), min_size=1, max_size=5
+    )
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(integer_rows, st.randoms(use_true_random=False))
+def test_echelon_property(rows, rng):
+    form = echelon(rows)
+    assert len(form[1]) == sympy.Matrix(rows).rank()
+    assert all(in_span(form, row) for row in rows)
+    # row operations leave the span, hence the canonical form, unchanged
+    mixed = [list(row) for row in rows]
+    rng.shuffle(mixed)
+    i, j = rng.randrange(len(mixed)), rng.randrange(len(mixed))
+    k = rng.randint(-3, 3)
+    if i != j:
+        mixed[i] = [a + k * b for a, b in zip(mixed[i], mixed[j])]
+    mixed[0] = [-2 * a for a in mixed[0]]
+    assert echelon(mixed) == form
 
 
 def test_rank_invariant_under_permutation_and_scaling():
@@ -132,7 +166,10 @@ def test_deterministic_results():
     rng = random.Random(99)
     m = random_matrix(rng, 4, 6)
     assert m.rank() == m.rank()
-    assert m.kernel_basis() == m.kernel_basis()
+    rows = [integer_vector(m.row(i)) for i in range(m.rows)]
+    assert echelon(rows) == echelon(rows)
+    square = RationalMatrix(3, 3, [2, 1, 0, 1, 3, 1, 0, 1, 4])
+    assert square.inverse() == square.inverse()
 
 
 def test_inverse_round_trip():

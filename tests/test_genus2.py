@@ -154,3 +154,45 @@ def test_part_of_the_cone_without_a_slice_parameter():
     # though no slice parameter reaches them
     inside = M2Divisor(Space.STACK, delta0=2, delta1=1)
     assert m2_chamber(inside) == M2ChamberReport(M2Model.SATAKE, False)
+
+
+def direct_chamber(div):
+    """Oracle: chambers in the stack boundary coordinates (u0, u1), with
+    Satake on (delta0, lambda], i.e. 0 < u1 <= 2 u0, the coarse space on
+    (lambda, delta0 + 12 delta1), the P^6 quotient on [delta0 + 12 delta1,
+    delta1), and a point on each boundary ray."""
+    b0, b1 = div.to_coarse().boundary_form()
+    u0, u1 = b0, 2 * b1
+    if u0 < 0 or u1 < 0:
+        return M2ChamberReport(M2Model.OUTSIDE, False)
+    if u0 == 0 or u1 == 0:
+        return M2ChamberReport(M2Model.POINT, True)
+    if u1 < 2 * u0:
+        return M2ChamberReport(M2Model.SATAKE, False)
+    if u1 == 2 * u0:
+        return M2ChamberReport(M2Model.SATAKE, True)
+    if u1 < 12 * u0:
+        return M2ChamberReport(M2Model.COARSE_SPACE, False)
+    if u1 == 12 * u0:
+        return M2ChamberReport(M2Model.P6_QUOTIENT, True)
+    return M2ChamberReport(M2Model.P6_QUOTIENT, False)
+
+
+def test_chamber_agrees_with_the_slope_oracle_on_a_grid():
+    # boundary coefficients on a rational grid, with the Hodge class
+    # weighted in; the stack grid holds the slope-2 and slope-12 walls and
+    # both boundary rays, the coarse grid the same walls at slopes 1 and 6
+    values = sorted({Fraction(p, q) for p in range(-2, 13) for q in (1, 2, 3)})
+    walls = {Space.STACK: set(), Space.COARSE: set()}
+    for space in Space:
+        for lam in (0, 1, Fraction(-1, 2)):
+            for d0 in values:
+                for d1 in values:
+                    div = M2Divisor(space, lam, d0, d1)
+                    report = m2_chamber(div)
+                    assert report == direct_chamber(div), div
+                    if report.boundary_case:
+                        walls[space].add(report.model)
+    # the grid hits both boundary rays and both interior walls in each basis
+    for space in Space:
+        assert walls[space] == {M2Model.POINT, M2Model.SATAKE, M2Model.P6_QUOTIENT}

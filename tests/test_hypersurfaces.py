@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -50,6 +51,24 @@ def test_singularity_examples():
     assert not is_singular_point(SEGRE, (1, -1, 2, -2, 3, -3))
     with pytest.raises(ValueError):
         is_singular_point(IGUSA, (1, 1, 1, -1, -1, -1))  # value 12, not on it
+
+
+def test_singularity_rejects_the_zero_vector():
+    for surface in (SEGRE, IGUSA):
+        with pytest.raises(ValueError, match="zero vector is not a projective point"):
+            is_singular_point(surface, (0,) * 6)
+        with pytest.raises(ValueError, match="zero vector"):
+            is_singular_point(surface, (Fraction(0),) * 6)
+
+
+def test_singularity_of_rational_points():
+    # scaling to integers changes neither the answer nor the error values
+    assert is_singular_point(SEGRE, tuple(Fraction(x, 3) for x in (1, 1, 1, -1, -1, -1)))
+    assert not is_singular_point(SEGRE, (Fraction(1, 2), Fraction(-1, 2), 1, -1, 3, -3))
+    with pytest.raises(ValueError, match=r"forms evaluate to 21, 441$"):
+        is_singular_point(SEGRE, (1, 2, 3, 4, 5, 6))
+    with pytest.raises(ValueError, match=r"forms evaluate to 0, 3/4$"):
+        is_singular_point(IGUSA, tuple(Fraction(x, 2) for x in (1, 1, 1, -1, -1, -1)))
 
 
 def test_fifteen_pair_partition_lines():
@@ -162,3 +181,6 @@ def test_duality_sampler_argument_validation():
         duality_sample_check(0, 1e-9, seed=1)
     with pytest.raises(ValueError):
         duality_sample_check(10, 0.0, seed=1)
+    for tolerance in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            duality_sample_check(10, tolerance, seed=1)

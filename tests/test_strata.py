@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from sixpoint.exact import echelon
 from sixpoint.stability import (
     PointConfiguration,
     Status,
@@ -13,6 +15,7 @@ from sixpoint.stability import (
 )
 from sixpoint.strata import (
     STRATUM_CLOSED_ORBIT,
+    STRATUM_DIMENSION,
     STRATUM_LABELS,
     STRATUM_STABILIZER_DIMENSION,
     classify_stratum,
@@ -134,3 +137,52 @@ def test_classify_passes_through_stable_and_unstable():
 def test_unknown_representative_label():
     with pytest.raises(ValueError):
         stratum_representative("XII")
+
+
+def cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def incidence_jacobian(config):
+    """Gradients, in the 18 homogeneous coordinates of six plane points, of
+    the incidence conditions of the configuration's signature: p_i x p_j = 0
+    for each coincident pair (rank 2) and det(p_a, p_b, p_c) = 0 for each
+    triple of distinct support points on a recorded line."""
+    points = config.points
+    sig = stratum_signature(config)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def row(gradients):
+        out = [0] * 18
+        for mark, grad in gradients:
+            out[3 * mark : 3 * mark + 3] = grad
+        return out
+
+    rows = []
+    for cls in sig.coincidence:
+        for i, j in itertools.combinations(cls, 2):
+            # e_k . (p_i x p_j) = p_i . (p_j x e_k) = p_j . (e_k x p_i)
+            rows += [
+                row([(i, cross(points[j], e)), (j, cross(e, points[i]))]) for e in units
+            ]
+    for rec in sig.lines:
+        firsts = {}
+        for mark in rec.marks:
+            firsts.setdefault(points[mark], mark)
+        for a, b, c in itertools.combinations(firsts.values(), 3):
+            pa, pb, pc = points[a], points[b], points[c]
+            rows.append(row([(a, cross(pb, pc)), (b, cross(pc, pa)), (c, cross(pa, pb))]))
+    return rows
+
+
+def test_stratum_dimensions_from_incidence_conditions():
+    # each condition is homogeneous in every point and vanishes at the
+    # template, so by Euler's identity its gradient kills the six scaling
+    # directions and the rank is the codimension in (P^2)^6
+    for label in STRATUM_LABELS:
+        rows = incidence_jacobian(stratum_representative(label))
+        assert 12 - len(echelon(rows)[1]) == STRATUM_DIMENSION[label], label
