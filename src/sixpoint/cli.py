@@ -4,8 +4,7 @@ Subcommands: ``divisor``, ``git``, ``hypersurface``, ``m2``,
 ``paper-report``.  Exit codes: 0 on success, 1 when a verification fails
 (the report battery or the duality sampler), 2 on usage or parse errors, so
 the report doubles as a CI gate.  Identical invocations produce
-byte-identical output; every rational is rendered exactly as ``p/q`` and
-floats appear only as sampling residuals.
+byte-identical output; every rational is rendered exactly as ``p/q``.
 
 Divisor expression grammar (whitespace-insensitive)::
 
@@ -329,10 +328,7 @@ def _cmd_git(args) -> int:
     config = parse_points_text(_read_file(args.config), args.dim)
     if args.action == "stability":
         weights = _load_weights(args, config)
-        try:
-            verdict = stability_status(config, weights)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+        verdict = stability_status(config, weights)
         lines = [
             f"points: {config.n} in P^{config.d}",
             f"weights: {','.join(str(w) for w in weights.weights)}",
@@ -407,10 +403,7 @@ def _cmd_git(args) -> int:
         )
         return 0
     if args.action == "degenerate":
-        try:
-            closed, label = polystable_degeneration(config)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+        closed, label = polystable_degeneration(config)
         lines = [f"stratum: {label}", "# closed-orbit configuration"] + _config_lines(closed)
         _emit(
             args,
@@ -422,10 +415,7 @@ def _cmd_git(args) -> int:
         )
         return 0
     # conic
-    try:
-        answer = lies_on_conic(config)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    answer = lies_on_conic(config)
     _emit(args, [f"on conic: {str(answer).lower()}"], {"onConic": answer})
     return 0
 
@@ -457,10 +447,7 @@ def _cmd_hypersurface(args) -> int:
                 },
             )
             return 0
-        try:
-            singular = is_singular_point(surface, coords)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
+        singular = is_singular_point(surface, coords)
         _emit(
             args,
             [f"surface: {surface.value}", f"singular: {str(singular).lower()}"],
@@ -470,10 +457,7 @@ def _cmd_hypersurface(args) -> int:
     if args.action == "lines":
         lines = pair_partition_lines()
         crossings = line_intersections()
-        per_line = {i: 0 for i in range(len(lines))}
-        for through in crossings.values():
-            for i in through:
-                per_line[i] += 1
+        per_line = {i: sum(i in t for t in crossings.values()) for i in range(len(lines))}
         meets = sorted(set(per_line.values()))
         through_counts = sorted({len(t) for t in crossings.values()})
         out = [f"{len(lines)} pair-partition lines on the quartic"]
@@ -507,23 +491,21 @@ def _cmd_hypersurface(args) -> int:
         )
         return 0
     # duality
-    report = duality_sample_check(args.samples, args.tol, args.seed)
+    report = duality_sample_check(args.samples, seed=args.seed)
     _emit(
         args,
         [
             f"samples: {report.samples}",
-            f"exact samples: {report.exact_samples}",
+            f"rational samples: {report.exact_samples}",
             f"skipped: {report.skipped}",
-            f"max residual: {report.max_residual!r}",
-            f"tolerance: {report.tolerance!r}",
+            f"nonzero residuals: {report.nonzero_residuals}",
             f"seed: {report.seed}",
             f"pass: {str(report.passed).lower()}",
         ],
         {
             "samples": report.samples,
             "skipped": report.skipped,
-            "maxResidual": report.max_residual,
-            "tolerance": report.tolerance,
+            "nonzeroResiduals": report.nonzero_residuals,
             "pass": report.passed,
             "seed": report.seed,
         },
@@ -582,9 +564,7 @@ def _cmd_m2(args) -> int:
 
 
 def _cmd_paper_report(args) -> int:
-    report = report_mod.build_report(
-        duality_samples=args.samples, duality_tolerance=args.tol, duality_seed=args.seed
-    )
+    report = report_mod.build_report(duality_samples=args.samples, duality_seed=args.seed)
     if args.json:
         payload = {
             "pass": report.passed,
@@ -618,11 +598,16 @@ def _cmd_paper_report(args) -> int:
                         f"  FAIL {check.name}: expected {check.expected},"
                         f" computed {check.computed}"
                     )
-        passed = sum(
-            1 for g in report.groups for c in g.checks if c.passed
-        )
+        passed = report.total_checks - len(report.failures())
         print(f"summary: {passed}/{report.total_checks} checks passed")
     return 0 if report.passed else 1
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for sample counts, so a bad count fails before any work."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -654,8 +639,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hyp.add_argument("action", choices=("eval", "singular", "lines", "nodes", "duality"))
     p_hyp.add_argument("--surface", choices=sorted(_SURFACES))
     p_hyp.add_argument("--point", help="six comma-separated rational coordinates")
-    p_hyp.add_argument("--samples", type=int, default=100)
-    p_hyp.add_argument("--tol", type=float, default=1e-9)
+    p_hyp.add_argument("--samples", type=_positive_int, default=100)
     p_hyp.add_argument("--seed", type=int, default=0)
     p_hyp.add_argument("--json", action="store_true")
 
@@ -669,8 +653,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_m2.add_argument("--json", action="store_true")
 
     p_rep = sub.add_parser("paper-report", help="run the full battery of golden checks")
-    p_rep.add_argument("--samples", type=int, default=60, help="duality sample count")
-    p_rep.add_argument("--tol", type=float, default=1e-9)
+    p_rep.add_argument("--samples", type=_positive_int, default=60, help="duality sample count")
     p_rep.add_argument("--seed", type=int, default=7)
     p_rep.add_argument("--json", action="store_true")
 
@@ -689,10 +672,7 @@ def main(argv=None) -> int:
     }
     try:
         return dispatch[args.command](args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -177,13 +177,3 @@ class RationalMatrix:
                 for j in range(n)
             ],
         )
-
-    def apply(self, vec: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        """Matrix-vector product."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        v = [Fraction(x) for x in vec]
-        return tuple(
-            sum((self.at(i, j) * v[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import EchelonForm, RationalMatrix, echelon, in_span, integer_vector
+from .exact import EchelonForm, RationalMatrix, _cleared, echelon, in_span, integer_vector
 
 __all__ = [
     "PointConfiguration",
@@ -146,6 +146,8 @@ def stability_status(config: PointConfiguration, weights: WeightVector) -> Stabi
     # a proper subspace spanned by configuration points is spanned by at
     # most d of its distinct support points, so small subsets suffice
     support = config.support()
+    # weights over their common denominator, so the sums below are integers
+    int_weights, scale = _cleared(weights.weights)
     seen_spans: set[EchelonForm] = set()
     found: dict[tuple[int, ...], Witness] = {}
     for size in range(1, min(d, len(support)) + 1):
@@ -156,8 +158,8 @@ def stability_status(config: PointConfiguration, weights: WeightVector) -> Stabi
                 continue
             seen_spans.add(span)
             marks = tuple(i for i in range(n) if in_span(span, config.points[i]))
-            total = sum((weights.weights[i] for i in marks), Fraction(0))
-            bound = Fraction(dim + 1)
+            total = sum(int_weights[i] for i in marks)
+            bound = (dim + 1) * scale
             if total < bound:
                 continue
             # the same mark set can register at several span dimensions
@@ -168,7 +170,7 @@ def stability_status(config: PointConfiguration, weights: WeightVector) -> Stabi
             found[marks] = Witness(
                 dim=dim,
                 marks=marks,
-                weight=total,
+                weight=Fraction(total, scale),
                 violation=total > bound,
             )
     witnesses = tuple(sorted(found.values(), key=lambda w: (w.dim, w.marks)))
@@ -242,10 +244,16 @@ def one_parameter_limit(
 def apply_transformation(
     matrix: RationalMatrix, config: PointConfiguration
 ) -> PointConfiguration:
-    """Apply an invertible (d+1)x(d+1) matrix to every point."""
-    if matrix.rows != config.d + 1 or matrix.cols != config.d + 1:
+    """Apply an invertible (d+1)x(d+1) matrix to every point; the matrix is
+    scaled to integers first, which moves no projective point."""
+    m = config.d + 1
+    if matrix.rows != m or matrix.cols != m:
         raise ValueError("transformation size does not match the ambient dimension")
-    return PointConfiguration(config.d, [matrix.apply(p) for p in config.points])
+    entries = _cleared(matrix.entries)[0]
+    rows = [entries[i * m : (i + 1) * m] for i in range(m)]
+    return PointConfiguration(
+        config.d, [[sum(a * x for a, x in zip(row, p)) for row in rows] for p in config.points]
+    )
 
 
 def random_transformation(rng, d: int, bound: int = 5) -> RationalMatrix:

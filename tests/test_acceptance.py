@@ -4,9 +4,7 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 Expected values come from routes independent of the code under test:
 frozen table constants, F-curve sign patterns for the chamber sweeps, the
 coarse-interval rule for the genus-two sweep, sympy for matrix ranks, and
-hand-derived fixtures.
-All comparisons are exact except the duality sampler, whose stated
-tolerance is 1e-9 on unit-normalized double-precision images.
+hand-derived fixtures.  All comparisons are exact.
 """
 
 import itertools
@@ -282,17 +280,17 @@ def test_criterion_7_cubic_nodes():
 
 def test_criterion_8_duality():
     failures = []
-    report = duality_sample_check(250, 1e-9, seed=42)
+    report = duality_sample_check(250, seed=42)
     check(failures, report.passed, "sampler reported failure")
     check(
         failures,
         report.samples - report.exact_samples >= 100,
-        f"only {report.samples - report.exact_samples} floating samples",
+        f"only {report.samples - report.exact_samples} irrational samples",
     )
     check(
         failures,
-        report.max_residual <= 1e-9,
-        f"residual {report.max_residual}",
+        report.nonzero_residuals == 0,
+        f"{report.nonzero_residuals} nonzero residuals",
     )
     triples = [
         t for t in itertools.combinations(range(1, 12), 3)
@@ -306,7 +304,7 @@ def test_criterion_8_duality():
             evaluate(Hypersurface.IGUSA_QUARTIC, image) == (0, 0),
             f"pair pattern {(a, b, c)} image off the quartic",
         )
-    conclude("8 duality (float <= 1e-9, exact = 0)", failures)
+    conclude("8 duality (every residual exactly 0)", failures)
 
 
 def expected_m2_chamber(b0, b1):
@@ -438,7 +436,7 @@ def test_criterion_10_property_suites(capsys):
                 f"permutation {i}: {surface.value} not invariant",
             )
 
-    argv = ["hypersurface", "duality", "--samples", "80", "--tol", "1e-9", "--seed", "31"]
+    argv = ["hypersurface", "duality", "--samples", "80", "--seed", "31"]
     code1 = cli.main(argv)
     out1 = capsys.readouterr().out
     code2 = cli.main(argv)

@@ -275,28 +275,59 @@ def test_hypersurface_nodes_command(capsys):
     assert code == 0 and payload["count"] == 10
 
 
-def test_hypersurface_duality_command(capsys):
-    code, out, _ = run(
-        capsys,
-        ["hypersurface", "duality", "--samples", "100", "--tol", "1e-9", "--seed", "42"],
-    )
+def test_hypersurface_duality_command(capsys, monkeypatch):
+    import sixpoint.hypersurfaces as hypersurfaces_mod
+
+    argv = ["hypersurface", "duality", "--samples", "100", "--seed", "42"]
+    code, out, _ = run(capsys, argv)
     assert code == 0 and "pass: true" in out and "seed: 42" in out
-    code, out, _ = run(
-        capsys,
-        ["hypersurface", "duality", "--samples", "100", "--tol", "1e-30", "--seed", "42"],
-    )
-    assert code == 1 and "pass: false" in out
+    assert "rational samples: 46" in out and "nonzero residuals: 0" in out
+
+    original = hypersurfaces_mod.gauss_image
+
+    def corrupted(coords):
+        # moved off the quartic, still in the sum-zero hyperplane
+        image = list(original(coords))
+        image[0] += 1
+        image[1] -= 1
+        return tuple(image)
+
+    monkeypatch.setattr(hypersurfaces_mod, "gauss_image", corrupted)
+    code, out, _ = run(capsys, argv)
+    assert code == 1 and "pass: false" in out and "nonzero residuals: 100" in out
+    code, out, _ = run(capsys, ["paper-report", "--samples", "20"])
+    assert code == 1
+    assert "FAIL sampled images exactly on the quartic (seed 7)" in out
+    assert "FAIL pair-pattern images on the quartic" in out
 
 
-def test_non_finite_tolerance_is_rejected(capsys):
-    for tol in ("nan", "inf"):
+def test_tolerance_flag_is_rejected(capsys):
+    for tol in ("1e-9", "nan", "inf"):
         for argv in (
             ["hypersurface", "duality", "--samples", "20", "--tol", tol],
             ["paper-report", "--samples", "5", "--tol", tol],
         ):
-            code, out, err = run(capsys, argv)
-            assert code == 2 and out == "", argv
-            assert "tolerance must be finite and positive" in err, argv
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            _, err = capsys.readouterr()
+            assert exc.value.code == 2, argv
+            assert "usage:" in err and "unrecognized arguments: --tol" in err, argv
+
+
+def test_sample_count_is_checked_before_any_work(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.report_mod, "_divisor_relations", lambda: calls.append(1))
+    for count in ("0", "-3", "abc", "1.5"):
+        for argv in (
+            ["paper-report", "--samples", count],
+            ["hypersurface", "duality", "--samples", count],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            _, err = capsys.readouterr()
+            assert exc.value.code == 2, argv
+            assert "expected a positive integer" in err, argv
+    assert calls == []
 
 
 def test_m2_command(capsys):
@@ -353,7 +384,7 @@ def test_paper_report_detects_a_broken_pairing(capsys, monkeypatch):
 
 
 def test_cli_output_is_byte_identical_across_runs(capsys):
-    argv = ["hypersurface", "duality", "--samples", "60", "--tol", "1e-9", "--seed", "9"]
+    argv = ["hypersurface", "duality", "--samples", "60", "--seed", "9"]
     code1, out1, _ = run(capsys, argv)
     code2, out2, _ = run(capsys, argv)
     assert (code1, out1) == (code2, out2)
