@@ -68,9 +68,6 @@ class SymmetricDivisor:
             raise ValueError(f"boundary index {i} out of range 2..{self.n - 2}")
         return self.coeffs[min(i, self.n - i) - 2]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def _check_same_space(self, other: "SymmetricDivisor") -> None:
         if self.n != other.n:
             raise ValueError(f"mixed marked point counts: {self.n} vs {other.n}")
@@ -302,7 +299,14 @@ class ChamberReport:
     boundary_case: bool
 
 
-def _chamber_data(div: SymmetricDivisor) -> ChamberReport:
+def mori_model(div: SymmetricDivisor) -> ChamberReport:
+    """Chamber lookup for a symmetric divisor on the six-pointed space.
+
+    The ample chamber is the open cone (-K, K + psi/3); [K + psi/3, B3)
+    gives the Segre cubic, (B2, -K] the Igusa quartic, and the two boundary
+    rays give a point.  Wall membership sets ``boundary_case``; divisors
+    outside the effective quadrant are reported, not rejected.
+    """
     # Write D = x B2 + y B3.  The wall rays are B2 (y = 0), -K (x = 2y),
     # K + psi/3 (y = 3x) and B3 (x = 0); all comparisons are exact.
     if div.n != 6:
@@ -336,15 +340,4 @@ def stable_base_locus(div: SymmetricDivisor) -> BaseLocus:
     """
     if not is_effective(div):
         raise ValueError("stable base locus is only defined for effective divisors")
-    return _chamber_data(div).stable_base_locus
-
-
-def mori_model(div: SymmetricDivisor) -> ChamberReport:
-    """Chamber lookup for a symmetric divisor on the six-pointed space.
-
-    The ample chamber is the open cone (-K, K + psi/3); [K + psi/3, B3)
-    gives the Segre cubic, (B2, -K] the Igusa quartic, and the two boundary
-    rays give a point.  Wall membership sets ``boundary_case``; divisors
-    outside the effective quadrant are reported, not rejected.
-    """
-    return _chamber_data(div)
+    return mori_model(div).stable_base_locus

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .exact import EchelonForm, RationalMatrix, _cleared, echelon, in_span, integer_vector
@@ -75,6 +76,36 @@ class PointConfiguration:
             seen.setdefault(p, None)
         return tuple(seen)
 
+    @cached_property
+    def flats(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Every distinct subspace spanned by at most d support points, as
+        (projective dimension, indices of all marks lying on it) pairs.
+
+        A proper subspace W spanned by configuration points has a basis of
+        at most dim W + 1 <= d of the distinct points on it, so spans of
+        subsets of at most d support points reach every such W, and each
+        has dimension at most d - 1.  Subsets are taken by size, then in
+        ``itertools.combinations`` order; a span already reached (same
+        echelon form) is skipped.
+
+        A flat is the span of its own marks: they include the points that
+        generate it and all lie on it.  So distinct flats carry distinct
+        mark sets, and a flat's dimension is the rank of its marks' points
+        minus 1.
+
+        Computed once per configuration; the configuration is immutable, so
+        the cached value cannot go stale.
+        """
+        support = self.support()
+        spans: dict[EchelonForm, tuple[int, tuple[int, ...]]] = {}
+        for size in range(1, min(self.d, len(support)) + 1):
+            for subset in itertools.combinations(support, size):
+                span = echelon(subset)
+                if span not in spans:
+                    marks = tuple(i for i, p in enumerate(self.points) if in_span(span, p))
+                    spans[span] = (len(span[1]) - 1, marks)
+        return tuple(spans.values())
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -132,48 +163,26 @@ class StabilityVerdict:
 def stability_status(config: PointConfiguration, weights: WeightVector) -> StabilityVerdict:
     """Exhaustive subspace check of the weighted stability criterion.
 
-    Enumerates spans of point subsets of projective dimension at most
-    d - 1, collects every mark lying on each span (not just the generating
-    subset) and compares the carried weight against dim W + 1.  All
-    equalities and violations are reported, deduplicated by the contained
-    mark set, which pins down the minimal witnessing subspace.
+    Compares the weight carried by each of the configuration's flats (every
+    mark lying on the span, not just the generating subset) against
+    dim W + 1.  All equalities and violations are reported; each witness is
+    the span of its own marks, so it is the minimal witnessing subspace.
     """
     if weights.n != config.n:
         raise ValueError(f"{config.n} points but {weights.n} weights")
     if weights.d != config.d:
         raise ValueError(f"configuration in P^{config.d} but weights target P^{weights.d}")
-    n, d = config.n, config.d
-    # a proper subspace spanned by configuration points is spanned by at
-    # most d of its distinct support points, so small subsets suffice
-    support = config.support()
     # weights over their common denominator, so the sums below are integers
     int_weights, scale = _cleared(weights.weights)
-    seen_spans: set[EchelonForm] = set()
-    found: dict[tuple[int, ...], Witness] = {}
-    for size in range(1, min(d, len(support)) + 1):
-        for subset in itertools.combinations(support, size):
-            span = echelon(subset)
-            dim = len(span[1]) - 1
-            if dim > d - 1 or span in seen_spans:
-                continue
-            seen_spans.add(span)
-            marks = tuple(i for i in range(n) if in_span(span, config.points[i]))
-            total = sum(int_weights[i] for i in marks)
-            bound = (dim + 1) * scale
-            if total < bound:
-                continue
-            # the same mark set can register at several span dimensions
-            # (coincident marks lie on every line through them); keep the
-            # minimal subspace, which is the span of the marks themselves
-            if marks in found and found[marks].dim <= dim:
-                continue
-            found[marks] = Witness(
-                dim=dim,
-                marks=marks,
-                weight=Fraction(total, scale),
-                violation=total > bound,
-            )
-    witnesses = tuple(sorted(found.values(), key=lambda w: (w.dim, w.marks)))
+    found = []
+    for dim, marks in config.flats:
+        total = sum(int_weights[i] for i in marks)
+        bound = (dim + 1) * scale
+        if total >= bound:
+            found.append(Witness(
+                dim=dim, marks=marks, weight=Fraction(total, scale), violation=total > bound
+            ))
+    witnesses = tuple(sorted(found, key=lambda w: (w.dim, w.marks)))
     if any(w.violation for w in witnesses):
         status = Status.UNSTABLE
     elif witnesses:

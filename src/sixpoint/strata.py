@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import EchelonForm, echelon, in_span
 from .stability import (
     OneParameterSubgroup,
     PointConfiguration,
@@ -108,34 +107,24 @@ class StratumSignature:
 def stratum_signature(config: PointConfiguration) -> StratumSignature:
     """Coincidence-and-collinearity type of a plane configuration.
 
-    Marks are grouped by exact projective equality; a line is recorded when
-    it carries at least three distinct support points, or at least four
-    marks counted with multiplicity (the join of two doubled points has
-    only two support points but is a tight subspace all the same).
+    Read off the configuration's flats: a point flat holds one coincidence
+    class of marks; a line flat is recorded when it carries at least three
+    distinct support points, or at least four marks counted with
+    multiplicity (the join of two doubled points has only two support
+    points but is a tight subspace all the same).
     """
     if config.d != 2:
         raise ValueError("stratum signatures are defined for plane configurations")
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, p in enumerate(config.points):
-        groups.setdefault(p, []).append(i)
-    coincidence = tuple(sorted(tuple(v) for v in groups.values()))
-    support = list(groups)
-    lines: dict[EchelonForm, LineRecord] = {}
-    for a in range(len(support)):
-        for b in range(a + 1, len(support)):
-            line = echelon((support[a], support[b]))
-            if line in lines:
-                continue
-            on_line = [p for p in support if in_span(line, p)]
-            marks = tuple(sorted(i for p in on_line for i in groups[p]))
-            if len(on_line) < 3 and len(marks) < 4:
-                continue
-            lines[line] = LineRecord(
-                marks=marks, support=len(on_line), weighted=len(marks)
-            )
+    coincidence = tuple(sorted(marks for dim, marks in config.flats if dim == 0))
+    lines = []
+    for dim, marks in config.flats:
+        if dim == 1:
+            support = len({config.points[i] for i in marks})
+            if support >= 3 or len(marks) >= 4:
+                lines.append(LineRecord(marks=marks, support=support, weighted=len(marks)))
     return StratumSignature(
         coincidence=coincidence,
-        lines=tuple(sorted(lines.values(), key=lambda rec: rec.marks)),
+        lines=tuple(sorted(lines, key=lambda rec: rec.marks)),
     )
 
 
@@ -200,20 +189,19 @@ _LINE_FLAG_WEIGHTS = (1, 1, -2)
 
 def _witness_flags(config: PointConfiguration, verdict: StabilityVerdict):
     """Standard-position transformations adapted to each equality witness,
-    point flags first, each keyed by lowest mark index for determinism."""
-    flags = []
+    point flags first, each keyed by lowest mark index for determinism.
+    Each transformation is built only when the caller reaches its flag."""
     for w in sorted(verdict.equality_witnesses(), key=lambda w: (w.dim, w.marks)):
         if w.dim == 0:
-            flags.append((move_flag_to_standard_position(
-                [config.points[w.marks[0]]], 2), _POINT_FLAG_WEIGHTS))
+            yield (move_flag_to_standard_position(
+                [config.points[w.marks[0]]], 2), _POINT_FLAG_WEIGHTS)
         else:
             anchor = config.points[w.marks[0]]
             other = next(
                 config.points[i] for i in w.marks if config.points[i] != anchor
             )
-            flags.append((move_flag_to_standard_position([anchor, other], 2),
-                          _LINE_FLAG_WEIGHTS))
-    return flags
+            yield (move_flag_to_standard_position([anchor, other], 2),
+                   _LINE_FLAG_WEIGHTS)
 
 
 def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfiguration, str]:
@@ -224,6 +212,8 @@ def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfigurat
     returned unchanged.  Every step strictly increases the degeneracy, so
     the loop terminates after a handful of iterations.
     """
+    if config.d != 2 or config.n != 6:
+        raise ValueError("degeneration is defined for six points in the plane")
     weights = symmetric_weights(config.n, config.d)
     verdict = stability_status(config, weights)
     if verdict.status != Status.STRICTLY_SEMISTABLE:

@@ -212,6 +212,15 @@ def test_git_degenerate_command(capsys, tmp_path):
     assert code == 2 and "Stable" in err
 
 
+def test_git_degenerate_rejects_non_sextuples(capsys, tmp_path):
+    # strictly semistable, but not six points: exit 2 with a message
+    vertices = tmp_path / "vertices.cfg"
+    vertices.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(capsys, ["git", "degenerate", str(vertices)])
+    assert code == 2 and out == ""
+    assert err == "error: degeneration is defined for six points in the plane\n"
+
+
 def test_git_conic_command(capsys, conic_file, stratum_file):
     code, out, _ = run(capsys, ["git", "conic", conic_file])
     assert code == 0 and "on conic: true" in out

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from sixpoint.exact import RationalMatrix
 from sixpoint.stability import (
@@ -9,6 +12,7 @@ from sixpoint.stability import (
     PointConfiguration,
     Status,
     WeightVector,
+    Witness,
     apply_transformation,
     lies_on_conic,
     one_parameter_limit,
@@ -197,3 +201,85 @@ def test_verdicts_are_deterministic():
     first = stability_status(config, W)
     second = stability_status(config, W)
     assert first == second
+
+
+@st.composite
+def weighted_configurations(draw):
+    """A configuration in P^1..P^3 whose points are often repeats (rescaled)
+    or combinations of two earlier points, so coincidences and collinear
+    triples are common, with valid weights moved off the symmetric ones by
+    a few transfers between marks."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(max(2, d + 1), 7))
+    small = st.integers(-2, 2)
+    points: list[list[int]] = []
+    for _ in range(n):
+        kinds = ("fresh", "fresh", "repeat", "combine") if points else ("fresh",)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "repeat":
+            scale = draw(st.sampled_from((-2, -1, 1, 2)))
+            vec = [scale * x for x in draw(st.sampled_from(points))]
+        elif kind == "combine":
+            p, q = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+            a, b = draw(small), draw(small)
+            vec = [a * x + b * y for x, y in zip(p, q)]
+        else:
+            vec = draw(st.lists(small, min_size=d + 1, max_size=d + 1))
+        points.append(vec if any(vec) else [1] + [0] * d)
+    weights = [Fraction(d + 1, n)] * n
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        t = Fraction(draw(st.integers(1, 4)), 4 * n)
+        if i != j and weights[i] - t > 0 and weights[j] + t <= 1:
+            weights[i] -= t
+            weights[j] += t
+    return PointConfiguration(d, points), WeightVector(d, weights)
+
+
+def proper_spans(config):
+    """Brute force: (dim, marks on it) for the span of every subset of
+    marks that is a proper subspace, with ranks from sympy."""
+    ranks = {}
+
+    def rank(marks):
+        key = frozenset(config.points[i] for i in marks)
+        if key not in ranks:
+            ranks[key] = sympy.Matrix([list(p) for p in key]).rank()
+        return ranks[key]
+
+    spans = set()
+    for size in range(1, config.n + 1):
+        for subset in itertools.combinations(range(config.n), size):
+            r = rank(subset)
+            if r <= config.d:
+                spans.add((r - 1, tuple(i for i in range(config.n) if rank(subset + (i,)) == r)))
+    return spans, rank
+
+
+@settings(deadline=None, max_examples=150)
+@given(weighted_configurations())
+def test_stability_status_matches_brute_force_over_mark_subsets(case):
+    config, weights = case
+    expected = set()
+    for dim, marks in proper_spans(config)[0]:
+        weight = sum(weights.weights[i] for i in marks)
+        if weight >= dim + 1:
+            expected.add(Witness(dim, marks, weight, weight > dim + 1))
+    verdict = stability_status(config, weights)
+    assert verdict.witnesses == tuple(sorted(expected, key=lambda w: (w.dim, w.marks)))
+    if any(w.violation for w in expected):
+        assert verdict.status == Status.UNSTABLE
+    else:
+        assert verdict.status == (Status.STRICTLY_SEMISTABLE if expected else Status.STABLE)
+
+
+@settings(deadline=None, max_examples=150)
+@given(weighted_configurations())
+def test_flats_are_the_proper_spans_with_distinct_mark_sets(case):
+    config, _ = case
+    spans, rank = proper_spans(config)
+    flats = config.flats
+    assert len({marks for _, marks in flats}) == len(flats)
+    assert all(dim == rank(marks) - 1 for dim, marks in flats)
+    assert set(flats) == spans
+    assert config.flats is flats  # computed once per configuration

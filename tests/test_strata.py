@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from sixpoint.stability import (
     PointConfiguration,
     Status,
     apply_transformation,
+    lies_on_conic,
     random_transformation,
     stability_status,
     stabilizer_dimension,
@@ -110,6 +112,16 @@ def test_degeneration_rejects_non_semistable_input():
         polystable_degeneration(unstable)
 
 
+def test_degeneration_rejects_non_sextuples():
+    # three coordinate vertices are strictly semistable, but the strata and
+    # their adapted subgroups exist only for six points in the plane
+    with pytest.raises(ValueError, match="six points in the plane"):
+        polystable_degeneration(PointConfiguration(2, [E0, E1, E2]))
+    tripled_on_line = PointConfiguration(1, [(1, 0)] * 3 + [(0, 1), (1, 1), (1, 2)])
+    with pytest.raises(ValueError, match="six points in the plane"):
+        polystable_degeneration(tripled_on_line)
+
+
 def test_strictly_semistable_pattern_flag():
     assert is_strictly_semistable_pattern(stratum_representative("I"))
     assert is_strictly_semistable_pattern(stratum_representative("XI"))
@@ -145,6 +157,44 @@ def cross(u, v):
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
+
+
+def det3(p, q, r):
+    return sum(a * b for a, b in zip(cross(p, q), r))
+
+
+def signature_by_determinants(config):
+    """Oracle: coincidences where the cross product vanishes, collinear
+    marks where a 3x3 determinant vanishes, recorded as in the signature."""
+    points = config.points
+    classes = []
+    for i in range(config.n):
+        for cls in classes:
+            if cross(points[cls[0]], points[i]) == (0, 0, 0):
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    lines = set()
+    for a, b in itertools.combinations([cls[0] for cls in classes], 2):
+        marks = tuple(i for i in range(config.n) if det3(points[a], points[b], points[i]) == 0)
+        support = sum(1 for cls in classes if cls[0] in marks)
+        if support >= 3 or len(marks) >= 4:
+            lines.add((marks, support, len(marks)))
+    return tuple(sorted(tuple(cls) for cls in classes)), sorted(lines)
+
+
+def test_signature_matches_determinant_oracle_on_projective_images():
+    rng = random.Random(31)
+    for label in STRATUM_LABELS:
+        template = stratum_representative(label)
+        images = [template] + [
+            apply_transformation(random_transformation(rng, 2), template) for _ in range(4)
+        ]
+        for config in images:
+            sig = stratum_signature(config)
+            lines = [(rec.marks, rec.support, rec.weighted) for rec in sig.lines]
+            assert (sig.coincidence, lines) == signature_by_determinants(config), label
 
 
 def incidence_jacobian(config):
@@ -186,3 +236,34 @@ def test_stratum_dimensions_from_incidence_conditions():
     for label in STRATUM_LABELS:
         rows = incidence_jacobian(stratum_representative(label))
         assert 12 - len(echelon(rows)[1]) == STRATUM_DIMENSION[label], label
+
+
+CENSUS_ANSWERS = Path(__file__).resolve().parents[1] / "bench" / "census_answers.txt"
+CENSUS_CODES = {"Unstable": "U", "Stable": "S"}
+CENSUS_CODES.update({label: chr(ord("a") + i) for i, label in enumerate(STRATUM_LABELS)})
+
+
+def test_census_grid_slice_matches_recorded_answers():
+    # every 16th six-point multiset of the 13 points of {-1,0,1}^3 up to
+    # sign; the recorded code per multiset is label, stabilizer dimension
+    # and conic answer
+    grid = [
+        v
+        for v in itertools.product((-1, 0, 1), repeat=3)
+        if any(v) and next(x for x in v if x) > 0
+    ]
+    answers = "".join(CENSUS_ANSWERS.read_text(encoding="ascii").split())
+    multisets = itertools.combinations_with_replacement(grid, 6)
+    checked = 0
+    for index, points in itertools.islice(enumerate(multisets), 0, None, 16):
+        config = PointConfiguration(2, points)
+        verdict = stability_status(config, W)
+        label = classify_stratum(stratum_signature(config), verdict)
+        code = f"{CENSUS_CODES[label]}{stabilizer_dimension(config)}{int(lies_on_conic(config))}"
+        assert code == answers[3 * index : 3 * index + 3], points
+        if verdict.status == Status.STRICTLY_SEMISTABLE:
+            closed, target = polystable_degeneration(config)
+            assert target == STRATUM_CLOSED_ORBIT[label], points
+            assert label_of(closed) == target, points
+        checked += 1
+    assert len(grid) == 13 and len(answers) == 3 * 18564 and checked == 1161
