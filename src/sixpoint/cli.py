@@ -347,6 +347,8 @@ def _cmd_git(args) -> int:
         )
         return 0
     if args.action == "stratum":
+        if config.d != 2 or config.n != 6:
+            raise CLIError("strata I-XI are defined for six points in the plane")
         weights = _load_weights(args, config)
         verdict = stability_status(config, weights)
         sig = stratum_signature(config)

@@ -16,8 +16,11 @@ from typing import Iterable, Sequence
 
 Rational = Fraction
 
+# a matrix as a tuple of integer rows
+IntegerMatrix = tuple[tuple[int, ...], ...]
+
 # nonzero rows of a reduced echelon form, and their pivot columns
-EchelonForm = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+EchelonForm = tuple[IntegerMatrix, tuple[int, ...]]
 
 __all__ = [
     "Rational",
@@ -58,6 +61,15 @@ def integer_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def _primitive(vec: Sequence[int], lead: int) -> tuple[int, ...]:
+    """An integer vector divided by its content and signed so that its
+    first nonzero entry, at index lead, is positive."""
+    g = gcd(*vec)
+    if vec[lead] < 0:
+        g = -g
+    return tuple(vec) if g == 1 else tuple(v // g for v in vec)
+
+
 def _reduce(basis: Iterable[tuple[int, tuple[int, ...]]], vec: Sequence[int]) -> Sequence[int]:
     """Clear the pivot column of every (pivot, row) pair from an integer
     vector by integer row operations; zero exactly when vec is in their span."""
@@ -71,10 +83,11 @@ def _reduce(basis: Iterable[tuple[int, tuple[int, ...]]], vec: Sequence[int]) ->
 def echelon(rows: Iterable[Sequence[int]]) -> EchelonForm:
     """Reduced row echelon form of integer rows, without fractions.
 
-    Returns the nonzero rows, each scaled by :func:`integer_vector` to
-    content 1 with a positive pivot, in ascending pivot order, and their
-    pivot columns.  The form is unique for a row space, so it doubles as
-    the key of a span; its length is the rank.
+    Returns the nonzero rows, each scaled to content 1 with a positive
+    pivot (the normalization of :func:`integer_vector`), in ascending pivot
+    order, and their pivot columns.  The form is unique for a row space, so
+    it doubles as the key of a span; its length is the rank.  Rows are read
+    only until every column holds a pivot.
     """
     basis: dict[int, tuple[int, ...]] = {}  # pivot column -> row
     for row in rows:
@@ -82,14 +95,16 @@ def echelon(rows: Iterable[Sequence[int]]) -> EchelonForm:
         lead = next((k for k, x in enumerate(vec) if x), None)
         if lead is None:
             continue
-        vec = integer_vector(vec)
+        vec = _primitive(vec, lead)
         for pivot, other in basis.items():
             f = other[lead]
             if f:
-                basis[pivot] = integer_vector(
-                    [vec[lead] * a - f * b for a, b in zip(other, vec)]
+                basis[pivot] = _primitive(
+                    [vec[lead] * a - f * b for a, b in zip(other, vec)], pivot
                 )
         basis[lead] = vec
+        if len(basis) == len(vec):
+            break
     pivots = tuple(sorted(basis))
     return tuple(basis[p] for p in pivots), pivots
 
@@ -100,8 +115,32 @@ def in_span(form: EchelonForm, vec: Sequence[int]) -> bool:
     return not any(_reduce(zip(pivots, rows), vec))
 
 
+def _inverse_up_to_scale(rows: Sequence[Sequence[int]]) -> tuple[IntegerMatrix, int]:
+    """s * A^-1 as integer rows, and the scale s > 0, for a square integer
+    matrix A; raises on a singular input.
+
+    Row i of the echelon form of [A | I] is its positive pivot p_i times
+    row i of [I | A^-1], so scaling each row by s / p_i with s = lcm(p_i)
+    gives s * A^-1 without a fraction (a fraction-free inverse up to scale,
+    as in Bareiss 1968).
+    """
+    n = len(rows)
+    form, pivots = echelon(
+        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)
+    )
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    scale = lcm(*(row[i] for i, row in enumerate(form)))
+    return tuple(tuple(x * (scale // row[i]) for x in row[n:]) for i, row in enumerate(form)), scale
+
+
 class RationalMatrix:
-    """Dense matrix over the rationals, stored row-major."""
+    """Dense matrix over the rationals, stored row-major.
+
+    Nothing in the library builds one: projective transformations are
+    integer rows.  It remains the rational rank and inverse against which
+    the tests check the integer kernel.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -156,24 +195,15 @@ class RationalMatrix:
         """Exact inverse of a square matrix; raises on a singular input.
 
         With the rows scaled to integers, A_int = diag(s) A, the inverse is
-        A_int^-1 diag(s); A_int^-1 is read off the echelon form of
-        [A_int | I].
+        A_int^-1 diag(s), and A_int^-1 is an integer matrix over a scale.
         """
         if self.rows != self.cols:
             raise ValueError("inverse needs a square matrix")
         n = self.rows
         cleared = [_cleared(self.row(i)) for i in range(n)]
-        rows, pivots = echelon(
-            ints + [int(i == j) for j in range(n)] for i, (ints, _) in enumerate(cleared)
-        )
-        if pivots != tuple(range(n)):
-            raise ValueError("matrix is singular")
+        inverse, scale = _inverse_up_to_scale([ints for ints, _ in cleared])
         return RationalMatrix(
             n,
             n,
-            [
-                Fraction(row[n + j] * cleared[j][1], row[i])
-                for i, row in enumerate(rows)
-                for j in range(n)
-            ],
+            [Fraction(inverse[i][j] * cleared[j][1], scale) for i in range(n) for j in range(n)],
         )

@@ -91,7 +91,7 @@ def is_singular_point(surface: Hypersurface, coords: Sequence[Fraction | int]) -
     point = integer_vector(coords)
     if not any(point):
         raise ValueError("zero vector is not a projective point")
-    values = evaluate(surface, [Fraction(x) for x in coords])
+    values = evaluate(surface, coords)
     if values != (0, 0):
         raise ValueError(
             f"point is not on {surface.value}: forms evaluate to {values[0]}, {values[1]}"

@@ -7,8 +7,9 @@ subsets: shrinking a subspace to the span of the points it contains never
 decreases the carried weight nor increases the dimension.
 
 Also here: Lie-algebra stabilizer dimensions, diagonal one-parameter
-subgroup limits, exact projective transformations, and the conic membership
-test for six points in the plane.
+subgroup limits, projective transformations as integer matrices (scalar
+multiples act alike on projective points), and the conic membership test
+for six points in the plane.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import EchelonForm, RationalMatrix, _cleared, echelon, in_span, integer_vector
+from .exact import IntegerMatrix, _cleared, _inverse_up_to_scale, echelon, in_span, integer_vector
 
 __all__ = [
     "PointConfiguration",
@@ -85,8 +86,18 @@ class PointConfiguration:
         at most dim W + 1 <= d of the distinct points on it, so spans of
         subsets of at most d support points reach every such W, and each
         has dimension at most d - 1.  Subsets are taken by size, then in
-        ``itertools.combinations`` order; a span already reached (same
-        echelon form) is skipped.
+        ``itertools.combinations`` order, and each flat is listed where it
+        is first reached.
+
+        Most subsets need no elimination.  A support point is its own span
+        (a canonical point is its own echelon form), so the point flats are
+        the coincidence classes.  A subset of size k >= 2 of rank below k
+        spans a flat already reached by a smaller subset.  A subset of size
+        k whose points all lie on a flat of dimension k - 1 found before it
+        spans that flat if it is independent, and a flat of a smaller size
+        otherwise, so it is skipped without an elimination.  Membership in
+        a new flat is tested once per support point; the marks on it are
+        the marks equal to those points.
 
         A flat is the span of its own marks: they include the points that
         generate it and all lie on it.  So distinct flats carry distinct
@@ -97,14 +108,21 @@ class PointConfiguration:
         the cached value cannot go stale.
         """
         support = self.support()
-        spans: dict[EchelonForm, tuple[int, tuple[int, ...]]] = {}
-        for size in range(1, min(self.d, len(support)) + 1):
-            for subset in itertools.combinations(support, size):
-                span = echelon(subset)
-                if span not in spans:
-                    marks = tuple(i for i, p in enumerate(self.points) if in_span(span, p))
-                    spans[span] = (len(span[1]) - 1, marks)
-        return tuple(spans.values())
+        slot = {p: k for k, p in enumerate(support)}
+        slots = [slot[p] for p in self.points]  # support index of each mark
+        found = [(0, tuple(i for i, s in enumerate(slots) if s == k)) for k in range(len(support))]
+        for size in range(2, min(self.d, len(support)) + 1):
+            covered: set[tuple[int, ...]] = set()  # subsets on a flat of dimension size - 1
+            for subset in itertools.combinations(range(len(support)), size):
+                if subset in covered:
+                    continue
+                span = echelon(support[k] for k in subset)
+                if len(span[1]) < size:
+                    continue
+                on = [k for k, p in enumerate(support) if k in subset or in_span(span, p)]
+                covered.update(itertools.combinations(on, size))
+                found.append((size - 1, tuple(i for i, s in enumerate(slots) if s in on)))
+        return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -129,9 +147,18 @@ class WeightVector:
         return len(self.weights)
 
 
+_SYMMETRIC_WEIGHTS: dict[tuple[int, int], WeightVector] = {}
+
+
 def symmetric_weights(n: int, d: int) -> WeightVector:
-    """The unique symmetric linearization: all weights (d+1)/n."""
-    return WeightVector(d, [Fraction(d + 1, n)] * n)
+    """The unique symmetric linearization: all weights (d+1)/n.
+
+    Built and checked once per (n, d); the vector is frozen, so every call
+    shares it.
+    """
+    if (n, d) not in _SYMMETRIC_WEIGHTS:
+        _SYMMETRIC_WEIGHTS[n, d] = WeightVector(d, [Fraction(d + 1, n)] * n)
+    return _SYMMETRIC_WEIGHTS[n, d]
 
 
 class Status(str, Enum):
@@ -199,18 +226,27 @@ def stabilizer_dimension(config: PointConfiguration) -> int:
     proportional to x for every point, i.e. (Mx)_a x_b - (Mx)_b x_a = 0;
     these are linear conditions on the entries of M, and the stabilizer
     dimension is the kernel dimension of the assembled system.
+
+    Per point, the m - 1 pairs (a, b) with b a fixed coordinate where x_b
+    is nonzero suffice: they give (Mx)_a = ((Mx)_b / x_b) x_a for every a,
+    so Mx is parallel to x and the kernel is unchanged.  The trace row
+    comes first, so the elimination stops as soon as the rank is full.
     """
     m = config.d + 1
-    rows: list[list[int]] = []
-    for point in config.support():
-        for a, b in itertools.combinations(range(m), 2):
-            row = [0] * (m * m)
-            for c in range(m):
-                row[a * m + c] += point[c] * point[b]
-                row[b * m + c] -= point[c] * point[a]
-            rows.append(row)
-    rows.append([int(r == c) for r in range(m) for c in range(m)])  # trace
-    return m * m - len(echelon(rows)[1])
+
+    def rows():
+        yield [int(r == c) for r in range(m) for c in range(m)]  # trace
+        for point in config.support():
+            b = next(k for k, x in enumerate(point) if x)
+            for a in range(m):
+                if a != b:
+                    row = [0] * (m * m)
+                    for c in range(m):
+                        row[a * m + c] = point[c] * point[b]
+                        row[b * m + c] = -point[c] * point[a]
+                    yield row
+
+    return m * m - len(echelon(rows())[1])
 
 
 @dataclass(frozen=True)
@@ -251,37 +287,37 @@ def one_parameter_limit(
 
 
 def apply_transformation(
-    matrix: RationalMatrix, config: PointConfiguration
+    matrix: Sequence[Sequence[int]], config: PointConfiguration
 ) -> PointConfiguration:
-    """Apply an invertible (d+1)x(d+1) matrix to every point; the matrix is
-    scaled to integers first, which moves no projective point."""
+    """Apply an invertible (d+1)x(d+1) integer matrix, given by its rows, to
+    every point."""
     m = config.d + 1
-    if matrix.rows != m or matrix.cols != m:
+    if len(matrix) != m or any(len(row) != m for row in matrix):
         raise ValueError("transformation size does not match the ambient dimension")
-    entries = _cleared(matrix.entries)[0]
-    rows = [entries[i * m : (i + 1) * m] for i in range(m)]
     return PointConfiguration(
-        config.d, [[sum(a * x for a, x in zip(row, p)) for row in rows] for p in config.points]
+        config.d, [[sum(a * x for a, x in zip(row, p)) for row in matrix] for p in config.points]
     )
 
 
-def random_transformation(rng, d: int, bound: int = 5) -> RationalMatrix:
-    """A random invertible integer matrix with entries in [-bound, bound]."""
+def random_transformation(rng, d: int, bound: int = 5) -> IntegerMatrix:
+    """A random invertible integer matrix with entries in [-bound, bound],
+    as a tuple of rows."""
     m = d + 1
     while True:
-        cand = RationalMatrix(
-            m, m, [rng.randint(-bound, bound) for _ in range(m * m)]
-        )
-        if cand.rank() == m:
-            return cand
+        entries = [rng.randint(-bound, bound) for _ in range(m * m)]
+        rows = tuple(tuple(entries[i * m : (i + 1) * m]) for i in range(m))
+        if len(echelon(rows)[1]) == m:
+            return rows
 
 
-def move_flag_to_standard_position(flag: Sequence[tuple[int, ...]], d: int) -> RationalMatrix:
-    """An exact transformation sending flag point k to basis vector e_k.
+def move_flag_to_standard_position(flag: Sequence[tuple[int, ...]], d: int) -> IntegerMatrix:
+    """An integer transformation sending flag point k to a nonzero multiple
+    of basis vector e_k.
 
     The flag is one point (sent to e_0) or two points spanning a line
     (sent to e_0, e_1); the basis is completed greedily with standard
-    basis vectors.
+    basis vectors.  The result is an integer multiple of the inverse of the
+    matrix with those columns, which is the same projective map.
     """
     m = d + 1
     columns = [tuple(p) for p in flag]
@@ -292,7 +328,7 @@ def move_flag_to_standard_position(flag: Sequence[tuple[int, ...]], d: int) -> R
         trial = columns + [unit]
         if len(echelon(trial)[1]) == len(trial):
             columns.append(unit)
-    return RationalMatrix(m, m, [columns[j][i] for i in range(m) for j in range(m)]).inverse()
+    return _inverse_up_to_scale([[columns[j][i] for j in range(m)] for i in range(m)])[0]
 
 
 def lies_on_conic(config: PointConfiguration) -> bool:

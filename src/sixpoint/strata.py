@@ -35,7 +35,9 @@ conditions at each template.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
+from .exact import IntegerMatrix
 from .stability import (
     OneParameterSubgroup,
     PointConfiguration,
@@ -187,7 +189,9 @@ _POINT_FLAG_WEIGHTS = (2, -1, -1)
 _LINE_FLAG_WEIGHTS = (1, 1, -2)
 
 
-def _witness_flags(config: PointConfiguration, verdict: StabilityVerdict):
+def _witness_flags(
+    config: PointConfiguration, verdict: StabilityVerdict
+) -> Iterator[tuple[IntegerMatrix, tuple[int, int, int]]]:
     """Standard-position transformations adapted to each equality witness,
     point flags first, each keyed by lowest mark index for determinism.
     Each transformation is built only when the caller reaches its flag."""
@@ -209,8 +213,11 @@ def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfigurat
 
     Iterates one-parameter limits adapted to the equality witnesses until
     the stratum label is I or VII; configurations already there are
-    returned unchanged.  Every step strictly increases the degeneracy, so
-    the loop terminates after a handful of iterations.
+    returned unchanged.  A step need not leave the stratum: some stratum II
+    sextuples go II -> II -> I.  What holds is a measured bound: over all
+    six-point multisets of the 13 points of P^2 with coordinates in
+    {-1, 0, 1}, no degeneration takes more than 2 advancing steps.  The cap
+    of 16 iterations below has no proof behind it.
     """
     if config.d != 2 or config.n != 6:
         raise ValueError("degeneration is defined for six points in the plane")

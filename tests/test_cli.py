@@ -188,6 +188,15 @@ def test_git_stratum_command(capsys, stratum_file, tmp_path):
     assert code == 0 and "stratum: Unstable" in out
 
 
+def test_git_stratum_rejects_non_sextuples(capsys, tmp_path):
+    # the strata I-XI exist only for six points in the plane
+    vertices = tmp_path / "vertices.cfg"
+    vertices.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(capsys, ["git", "stratum", str(vertices)])
+    assert code == 2 and out == ""
+    assert err == "error: strata I-XI are defined for six points in the plane\n"
+
+
 def test_git_limit_command(capsys, conic_file):
     code, out, _ = run(capsys, ["git", "limit", conic_file, "--lps", "1,0,0"])
     assert code == 0

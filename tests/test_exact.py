@@ -5,7 +5,14 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from sixpoint.exact import RationalMatrix, echelon, in_span, integer_vector, parse_rational
+from sixpoint.exact import (
+    RationalMatrix,
+    _inverse_up_to_scale,
+    echelon,
+    in_span,
+    integer_vector,
+    parse_rational,
+)
 
 
 def veronese_rows():
@@ -133,6 +140,36 @@ def test_echelon_property(rows, rng):
         mixed[i] = [a + k * b for a, b in zip(mixed[i], mixed[j])]
     mixed[0] = [-2 * a for a in mixed[0]]
     assert echelon(mixed) == form
+
+
+def test_echelon_stops_reading_rows_at_full_rank():
+    def rows():
+        yield (2, 4)
+        yield (0, 3)
+        raise AssertionError("read a row past full rank")
+
+    assert echelon(rows()) == (((1, 0), (0, 1)), (0, 1))
+
+
+square_integer_rows = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(square_integer_rows)
+def test_inverse_up_to_scale_is_proportional_to_the_inverse(rows):
+    oracle = sympy.Matrix(rows)
+    if oracle.rank() < len(rows):
+        with pytest.raises(ValueError, match="singular"):
+            _inverse_up_to_scale(rows)
+        return
+    scaled, scale = _inverse_up_to_scale(rows)
+    assert scale > 0
+    assert all(type(x) is int for row in scaled for x in row)
+    assert sympy.Matrix(scaled) == scale * oracle.inv()
 
 
 def test_rank_invariant_under_permutation_and_scaling():

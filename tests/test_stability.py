@@ -6,7 +6,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from sixpoint.exact import RationalMatrix
+import sixpoint.stability as stability_module
+from sixpoint.exact import echelon
 from sixpoint.stability import (
     OneParameterSubgroup,
     PointConfiguration,
@@ -15,6 +16,7 @@ from sixpoint.stability import (
     Witness,
     apply_transformation,
     lies_on_conic,
+    move_flag_to_standard_position,
     one_parameter_limit,
     random_transformation,
     stability_status,
@@ -183,6 +185,58 @@ def test_stabilizer_dimension_is_a_projective_invariant():
             assert stabilizer_dimension(apply_transformation(g, config)) == reference
 
 
+def test_random_transformation_draws_are_pinned():
+    # seeded images must not move: the same draws give the same matrices,
+    # rejected singular draws included (three of them at d = 1, bound 1)
+    rng = random.Random(0)
+    assert [random_transformation(rng, 2) for _ in range(3)] == [
+        ((1, 1, -5), (-1, 3, 2), (1, -1, 2)),
+        ((0, 4, -2), (3, -3, -1), (-3, -4, 4)),
+        ((-1, 3, 4), (-3, -1, -4), (-4, 5, 0)),
+    ]
+    assert rng.random() == 0.47214271545271336
+    rng = random.Random(0)
+    assert [random_transformation(rng, 1, 1) for _ in range(3)] == [
+        ((1, -1), (0, -1)),
+        ((-1, 1), (0, 1)),
+        ((1, 1), (-1, 0)),
+    ]
+    assert rng.random() == 0.09876334465914771
+
+
+def test_move_flag_to_standard_position_sends_the_flag_to_the_basis():
+    rng = random.Random(13)
+    for d in (1, 2, 3):
+        for size in (1, 2):
+            for _ in range(25):
+                flag = [tuple(rng.randint(-3, 3) for _ in range(d + 1)) for _ in range(size)]
+                if len(echelon(flag)[1]) < size:
+                    continue
+                matrix = move_flag_to_standard_position(flag, d)
+                assert all(type(x) is int for row in matrix for x in row)
+                assert sympy.Matrix(matrix).rank() == d + 1
+                for k, point in enumerate(flag):
+                    image = [sum(a * x for a, x in zip(row, point)) for row in matrix]
+                    assert image[k] != 0
+                    assert all(x == 0 for j, x in enumerate(image) if j != k)
+
+
+def test_flats_of_collinear_points_need_one_elimination(monkeypatch):
+    calls = []
+
+    def counting_echelon(rows):
+        calls.append(None)
+        return echelon(rows)
+
+    monkeypatch.setattr(stability_module, "echelon", counting_echelon)
+    collinear = PointConfiguration(2, [(1, t, 0) for t in range(6)])
+    assert collinear.flats == tuple((0, (i,)) for i in range(6)) + ((1, tuple(range(6))),)
+    assert len(calls) == 1
+    calls.clear()
+    assert len(conic_points().flats) == 6 + 15  # no three on a line
+    assert len(calls) == 15
+
+
 def test_lies_on_conic():
     assert lies_on_conic(conic_points())
     assert lies_on_conic(doubled_vertices())  # degenerate conic: two lines
@@ -283,3 +337,25 @@ def test_flats_are_the_proper_spans_with_distinct_mark_sets(case):
     assert all(dim == rank(marks) - 1 for dim, marks in flats)
     assert set(flats) == spans
     assert config.flats is flats  # computed once per configuration
+
+
+def all_pairs_stabilizer_dimension(config):
+    """(d+1)^2 minus the sympy rank of the trace row and the condition
+    (Mx)_a x_b = (Mx)_b x_a for every pair a < b at every point."""
+    m = config.d + 1
+    rows = [[int(r == c) for r in range(m) for c in range(m)]]
+    for point in config.support():
+        for a, b in itertools.combinations(range(m), 2):
+            row = [0] * (m * m)
+            for c in range(m):
+                row[a * m + c] += point[c] * point[b]
+                row[b * m + c] -= point[c] * point[a]
+            rows.append(row)
+    return m * m - sympy.Matrix(rows).rank()
+
+
+@settings(deadline=None, max_examples=150)
+@given(weighted_configurations())
+def test_stabilizer_dimension_matches_the_all_pairs_system(case):
+    config, _ = case
+    assert stabilizer_dimension(config) == all_pairs_stabilizer_dimension(config)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sixpoint.exact import echelon
+from sixpoint.exact import RationalMatrix, echelon
 from sixpoint.stability import (
     PointConfiguration,
     Status,
@@ -101,6 +101,25 @@ def test_degeneration_label_is_a_projective_invariant():
             assert label_of(moved) == label
             _, target = polystable_degeneration(moved)
             assert target == reference
+
+
+def test_census_path_builds_no_rational_matrix(monkeypatch):
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("a RationalMatrix was built")
+
+    monkeypatch.setattr(RationalMatrix, "__init__", forbidden)
+    rng = random.Random(47)
+    for label in STRATUM_LABELS:
+        template = stratum_representative(label)
+        images = [template] + [
+            apply_transformation(random_transformation(rng, 2), template) for _ in range(4)
+        ]
+        for config in images:
+            assert label_of(config) == label
+            assert stabilizer_dimension(config) == STRATUM_STABILIZER_DIMENSION[label]
+            lies_on_conic(config)
+            _, target = polystable_degeneration(config)
+            assert target == STRATUM_CLOSED_ORBIT[label]
 
 
 def test_degeneration_rejects_non_semistable_input():
