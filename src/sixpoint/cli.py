@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -40,7 +41,6 @@ from .divisors import (
     canonical_polarization,
     intersect_c_curve,
     intersect_f_curve,
-    is_effective,
     mori_model,
     psi_divisor,
     stable_base_locus,
@@ -201,12 +201,12 @@ def _parse_curve(text: str) -> FCurve | CCurve:
 
 
 def _load_weights(args, config: PointConfiguration) -> WeightVector:
-    if getattr(args, "weights", None) and getattr(args, "weights_file", None):
+    if args.weights is not None and args.weights_file is not None:
         raise CLIError("give --weights or --weights-file, not both")
     text = None
-    if getattr(args, "weights", None):
+    if args.weights is not None:
         text = args.weights
-    elif getattr(args, "weights_file", None):
+    elif args.weights_file is not None:
         text = _read_file(args.weights_file)
         text = " ".join(
             line.split("#", 1)[0] for line in text.splitlines()
@@ -288,8 +288,6 @@ def _cmd_divisor(args) -> int:
         )
         return 0
     # baselocus
-    if not is_effective(div):
-        raise CLIError(f"divisor {div} is not effective; no stable base locus")
     locus = stable_base_locus(div)
     _emit(
         args,
@@ -325,6 +323,10 @@ def _config_lines(config: PointConfiguration) -> list[str]:
 
 
 def _cmd_git(args) -> int:
+    if args.action in ("limit", "degenerate", "conic") and (
+        args.weights is not None or args.weights_file is not None
+    ):
+        raise CLIError(f"git {args.action} takes no --weights or --weights-file")
     config = parse_points_text(_read_file(args.config), args.dim)
     if args.action == "stability":
         weights = _load_weights(args, config)
@@ -350,6 +352,8 @@ def _cmd_git(args) -> int:
         if config.d != 2 or config.n != 6:
             raise CLIError("strata I-XI are defined for six points in the plane")
         weights = _load_weights(args, config)
+        if weights != symmetric_weights(6, 2):
+            raise CLIError("strata I-XI are defined for the symmetric weights")
         verdict = stability_status(config, weights)
         sig = stratum_signature(config)
         label = classify_stratum(sig, verdict)
@@ -531,14 +535,15 @@ def _cmd_m2(args) -> int:
         if args.lam is None and not stack_flags and not coarse_flags:
             raise CLIError("give --alpha or at least one divisor coefficient flag")
         space = Space.COARSE if coarse_flags else Space.STACK
-        lam = _parse_rational_or_fail(args.lam, "--lambda") if args.lam else Fraction(0)
+
+        def coefficient(text, flag):
+            return Fraction(0) if text is None else _parse_rational_or_fail(text, flag)
+
         if coarse_flags:
-            d0 = _parse_rational_or_fail(args.Delta0, "--Delta0") if args.Delta0 else Fraction(0)
-            d1 = _parse_rational_or_fail(args.Delta1, "--Delta1") if args.Delta1 else Fraction(0)
+            d0, d1 = coefficient(args.Delta0, "--Delta0"), coefficient(args.Delta1, "--Delta1")
         else:
-            d0 = _parse_rational_or_fail(args.delta0, "--delta0") if args.delta0 else Fraction(0)
-            d1 = _parse_rational_or_fail(args.delta1, "--delta1") if args.delta1 else Fraction(0)
-        div = M2Divisor(space, lam, d0, d1)
+            d0, d1 = coefficient(args.delta0, "--delta0"), coefficient(args.delta1, "--delta1")
+        div = M2Divisor(space, coefficient(args.lam, "--lambda"), d0, d1)
         header = []
         payload = {}
     b0, b1 = div.boundary_form()
@@ -632,7 +637,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_git.add_argument("action", choices=("stability", "stratum", "limit", "degenerate", "conic"))
     p_git.add_argument("config", help="configuration file, one point per line")
     p_git.add_argument("--dim", type=int, default=2, help="ambient projective dimension (default 2)")
-    p_git.add_argument("--weights", help="comma-separated weights (default symmetric)")
+    p_git.add_argument(
+        "--weights", help="comma-separated weights for stability and stratum (default symmetric)"
+    )
     p_git.add_argument("--weights-file", help="file holding comma-separated weights")
     p_git.add_argument("--lps", help="diagonal subgroup weights for 'limit', e.g. 2,-1,-1")
     p_git.add_argument("--json", action="store_true")
@@ -680,7 +687,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``sixpoint paper-report | head -1``); point
+        # stdout at devnull so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,11 +4,9 @@ rational curves.
 The S_n-invariant Neron-Severi space is spanned by the boundary classes
 B_2, ..., B_{floor(n/2)} (with the identification B_i = B_{n-i}, applied at
 construction time).  For n = 6 the space is two dimensional and this module
-carries the full chamber engine: stable base locus, birational model and
-the canonical quotient polarization.
-
-All coefficients are exact rationals; chamber and wall membership tests
-compare coefficient pairs exactly, never through floating point.
+carries the full chamber engine (stable base locus, birational model and
+the canonical quotient polarization), read off exact F-curve pairings.
+All coefficients are exact rationals, never floating point.
 """
 
 from __future__ import annotations
@@ -16,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Mapping
+
+from .exact import _cleared
 
 __all__ = [
     "SymmetricDivisor",
@@ -260,8 +261,8 @@ def four_part_partitions(n: int) -> Iterator[tuple[int, int, int, int]]:
 def is_f_nonnegative(div: SymmetricDivisor) -> tuple[bool, list[tuple[int, int, int, int]]]:
     """Whether D meets every F-curve nonnegatively, plus the violators.
 
-    For n = 6 this is equivalent to nefness.  For other n it is only the
-    necessary direction of that equivalence, so treat a True answer as
+    For n <= 7 this is equivalent to nefness (Keel-McKernan).  For larger n
+    it is only the necessary direction, so treat a True answer as
     "F-nonnegative", not as a nefness certificate.
     """
     violations = [
@@ -299,45 +300,49 @@ class ChamberReport:
     boundary_case: bool
 
 
+# F . B_i for each F-class of six points, i = 2, 3; F . D follows by linearity
+_F_DOT_B = {
+    p: tuple(int(intersect_f_curve(boundary(6, i), FCurve(p))) for i in (2, 3))
+    for p in four_part_partitions(6)
+}
+
+# the one recorded chamber fact: the model that contracts each F-class
+_CONTRACTION = {(1, 1, 2, 2): Model.IGUSA_QUARTIC, (1, 1, 1, 3): Model.SEGRE_CUBIC}
+
+
 def mori_model(div: SymmetricDivisor) -> ChamberReport:
     """Chamber lookup for a symmetric divisor on the six-pointed space.
 
-    The ample chamber is the open cone (-K, K + psi/3); [K + psi/3, B3)
-    gives the Segre cubic, (B2, -K] the Igusa quartic, and the two boundary
-    rays give a point.  Wall membership sets ``boundary_case``; divisors
-    outside the effective quadrant are reported, not rejected.
+    An effective D meets at most one F-class V negatively; two would force a
+    negative coefficient.  The stable base locus is the B_i that V meets
+    negatively, and the nef part is N = D - (V.D / V.B_i) B_i; with no such
+    V the locus is empty and N = D.  The model contracts the F-classes that
+    N meets in 0: none leaves the space itself, one gives that class's
+    contraction, both (N = 0) give a point.  D is a wall case when some F.D
+    or some coefficient of D is 0.  Non-effective D is reported as outside.
     """
-    # Write D = x B2 + y B3.  The wall rays are B2 (y = 0), -K (x = 2y),
-    # K + psi/3 (y = 3x) and B3 (x = 0); all comparisons are exact.
     if div.n != 6:
         raise ValueError(f"chamber decomposition is implemented for n=6, got n={div.n}")
-    x, y = div.coefficient(2), div.coefficient(3)
-    if x < 0 or y < 0:
+    if not is_effective(div):
         return ChamberReport(Model.OUTSIDE, BaseLocus.WHOLE_DIVISOR, False)
-    if x == 0 and y == 0:
-        # degenerate apex: flagged as a wall case rather than rejected
-        return ChamberReport(Model.POINT, BaseLocus.EMPTY, True)
-    if y == 0:
-        return ChamberReport(Model.POINT, BaseLocus.B2, True)
-    if x == 0:
-        return ChamberReport(Model.POINT, BaseLocus.B3, True)
-    if 2 * y < x:
-        return ChamberReport(Model.IGUSA_QUARTIC, BaseLocus.B2, False)
-    if 2 * y == x:
-        return ChamberReport(Model.IGUSA_QUARTIC, BaseLocus.EMPTY, True)
-    if y < 3 * x:
-        return ChamberReport(Model.AMPLE, BaseLocus.EMPTY, False)
-    if y == 3 * x:
-        return ChamberReport(Model.SEGRE_CUBIC, BaseLocus.EMPTY, True)
-    return ChamberReport(Model.SEGRE_CUBIC, BaseLocus.B3, False)
+    # a positive multiple of D lies in the same chamber and has integer coefficients
+    coeffs = _cleared(div.coeffs)[0]
+    pairing = {p: sum(map(mul, coeffs, row)) for p, row in _F_DOT_B.items()}
+    locus, nef = BaseLocus.EMPTY, pairing
+    for curve, value in pairing.items():
+        if value < 0:
+            k = next(j for j, f in enumerate(_F_DOT_B[curve]) if f < 0)
+            locus = BaseLocus(f"B{k + 2}")
+            # F.N times -V.B_i > 0, which keeps it integral
+            nef = {p: value * row[k] - _F_DOT_B[curve][k] * pairing[p]
+                   for p, row in _F_DOT_B.items()}
+    contracted = [_CONTRACTION[curve] for curve, value in nef.items() if value == 0]
+    model = Model.POINT if len(contracted) > 1 else (contracted or [Model.AMPLE])[0]
+    return ChamberReport(model, locus, 0 in pairing.values() or 0 in coeffs)
 
 
 def stable_base_locus(div: SymmetricDivisor) -> BaseLocus:
-    """Stable base locus of an effective symmetric divisor, n = 6.
-
-    Empty on the closed nef cone [-K, K + psi/3], B3 on (K + psi/3, B3]
-    and B2 on [B2, -K).
-    """
+    """Stable base locus of an effective symmetric divisor, n = 6 (see ``mori_model``)."""
     if not is_effective(div):
-        raise ValueError("stable base locus is only defined for effective divisors")
+        raise ValueError(f"divisor {div} is not effective; no stable base locus")
     return mori_model(div).stable_base_locus

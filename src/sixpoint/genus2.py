@@ -65,10 +65,6 @@ class M2Divisor:
             return (self.delta0 + self.lam / 10, self.delta1 + self.lam / 10)
         return (self.delta0 + self.lam / 10, self.delta1 + self.lam / 5)
 
-    def is_effective(self) -> bool:
-        b0, b1 = self.boundary_form()
-        return b0 >= 0 and b1 >= 0
-
 
 class M2Model(str, Enum):
     COARSE_SPACE = "M2CoarseSpace"
@@ -114,12 +110,10 @@ def m2_chamber(div: M2Divisor) -> M2ChamberReport:
 def hassett_keel_divisor(alpha) -> M2Divisor:
     """The log-canonical slice divisor K + alpha * delta on the stack.
 
-    The stack canonical class is 13 lambda - 2 delta0 - 2 delta1; after
-    Hodge reduction the slice becomes (alpha - 7/10) delta0 +
-    (alpha + 3/5) delta1.  Below alpha = 7/10 the class leaves the
-    effective cone and the chamber lookup reports it as such.
+    The stack canonical class is 13 lambda - 2 delta0 - 2 delta1; the slice
+    is returned in its boundary form, with the Hodge class reduced away.
+    Below alpha = 7/10 the class leaves the effective cone and the chamber
+    lookup reports it as such.
     """
     a = Fraction(alpha)
-    return M2Divisor(
-        Space.STACK, 0, a - Fraction(7, 10), a + Fraction(3, 5)
-    )
+    return M2Divisor(Space.STACK, 0, *M2Divisor(Space.STACK, 13, a - 2, a - 2).boundary_form())

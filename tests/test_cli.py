@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sixpoint
 from sixpoint import cli
 from sixpoint.cli import CLIError, parse_divisor_expression, parse_points_text
 from sixpoint.divisors import SymmetricDivisor, boundary, canonical_divisor
@@ -129,8 +134,9 @@ def test_divisor_chamber_command(capsys):
 def test_divisor_baselocus_command(capsys):
     code, out, _ = run(capsys, ["divisor", "baselocus", "--expr", "B3"])
     assert code == 0 and "stable base locus: B3" in out
-    code, _, err = run(capsys, ["divisor", "baselocus", "--expr", "K"])
-    assert code == 2 and "not effective" in err
+    code, out, err = run(capsys, ["divisor", "baselocus", "--expr", "K"])
+    assert code == 2 and out == ""
+    assert err == "error: divisor -2/5*B2 - 1/5*B3 is not effective; no stable base locus\n"
 
 
 def test_git_stability_command(capsys, stratum_file):
@@ -167,6 +173,8 @@ def test_git_stability_weights_file(capsys, stratum_file, tmp_path):
          "--weights-file", str(weights)],
     )
     assert code == 2 and "not both" in err
+    code, _, err = run(capsys, ["git", "stability", stratum_file, "--weights", ""])
+    assert code == 2 and err == "error: weights: empty list\n"
 
 
 def test_git_stability_reports_violating_marks(capsys, tmp_path):
@@ -195,6 +203,30 @@ def test_git_stratum_rejects_non_sextuples(capsys, tmp_path):
     code, out, err = run(capsys, ["git", "stratum", str(vertices)])
     assert code == 2 and out == ""
     assert err == "error: strata I-XI are defined for six points in the plane\n"
+
+
+def test_git_stratum_needs_the_symmetric_weights(capsys, stratum_file, tmp_path):
+    code, out, err = run(
+        capsys, ["git", "stratum", stratum_file, "--weights", "3/4,1/4,1/2,1/2,1/2,1/2"]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: strata I-XI are defined for the symmetric weights\n"
+    weights = tmp_path / "weights.txt"
+    weights.write_text("1/2,1/2,1/2,1/2,1/2,1/2\n")
+    for flag, value in (("--weights", "1/2,1/2,1/2,1/2,1/2,1/2"), ("--weights-file", weights)):
+        code, out, _ = run(capsys, ["git", "stratum", stratum_file, flag, str(value)])
+        assert code == 0 and "stratum: I\n" in out
+
+
+def test_git_actions_without_weights_reject_weight_flags(capsys, stratum_file, tmp_path):
+    weights = tmp_path / "weights.txt"
+    weights.write_text("1/2,1/2,1/2,1/2,1/2,1/2\n")
+    for action, *rest in (["limit", "--lps", "1,0,0"], ["degenerate"], ["conic"]):
+        for flag, value in (("--weights", "1/2,1/2,1/2,1/2,1/2,1/2"), ("--weights-file", weights)):
+            argv = ["git", action, stratum_file, *rest, flag, str(value)]
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "", argv
+            assert err == f"error: git {action} takes no --weights or --weights-file\n"
 
 
 def test_git_limit_command(capsys, conic_file):
@@ -371,6 +403,13 @@ def test_m2_flag_validation(capsys):
     assert code == 2
 
 
+def test_m2_rejects_empty_coefficients(capsys):
+    for flag in ("--alpha", "--lambda", "--delta0", "--delta1", "--Delta0", "--Delta1"):
+        code, out, err = run(capsys, ["m2", flag, ""])
+        assert code == 2 and out == "", flag
+        assert err == f"error: {flag}: not a rational number: ''\n"
+
+
 def test_paper_report_passes(capsys):
     code, out, _ = run(capsys, ["paper-report", "--samples", "30"])
     assert code == 0
@@ -399,6 +438,31 @@ def test_paper_report_detects_a_broken_pairing(capsys, monkeypatch):
     code, out, _ = run(capsys, ["paper-report", "--samples", "2"])
     assert code == 1
     assert "FAIL C4.B2" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # the reader has closed the pipe before the first write, as when head
+    # exits before ``sixpoint paper-report | head -1`` has written everything
+    env = dict(os.environ, PYTHONPATH=str(Path(sixpoint.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sixpoint.cli", "paper-report", "--samples", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 def test_cli_output_is_byte_identical_across_runs(capsys):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sixpoint.divisors import (
     BaseLocus,
@@ -161,7 +162,7 @@ def test_stable_base_locus_intervals():
     # just past each wall
     assert stable_base_locus(SymmetricDivisor(6, {2: 1, 3: 4})) == BaseLocus.B3
     assert stable_base_locus(SymmetricDivisor(6, {2: 3, 3: 1})) == BaseLocus.B2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^divisor .* is not effective; no stable base locus$"):
         stable_base_locus(K())
 
 
@@ -213,6 +214,61 @@ def test_chamber_partition_is_exhaustive_and_exclusive():
         # semi-ample implies nef
         if rep.stable_base_locus == BaseLocus.EMPTY:
             assert is_f_nonnegative(d)[0]
+
+
+def branch_table(x: Fraction, y: Fraction) -> ChamberReport:
+    """The chamber lookup for D = x B2 + y B3 as hand-coded slope tests on
+    the published walls B2 (y = 0), -K (x = 2y), K + psi/3 (y = 3x) and
+    B3 (x = 0)."""
+    if x < 0 or y < 0:
+        return ChamberReport(Model.OUTSIDE, BaseLocus.WHOLE_DIVISOR, False)
+    if x == 0 and y == 0:
+        return ChamberReport(Model.POINT, BaseLocus.EMPTY, True)
+    if y == 0:
+        return ChamberReport(Model.POINT, BaseLocus.B2, True)
+    if x == 0:
+        return ChamberReport(Model.POINT, BaseLocus.B3, True)
+    if 2 * y < x:
+        return ChamberReport(Model.IGUSA_QUARTIC, BaseLocus.B2, False)
+    if 2 * y == x:
+        return ChamberReport(Model.IGUSA_QUARTIC, BaseLocus.EMPTY, True)
+    if y < 3 * x:
+        return ChamberReport(Model.AMPLE, BaseLocus.EMPTY, False)
+    if y == 3 * x:
+        return ChamberReport(Model.SEGRE_CUBIC, BaseLocus.EMPTY, True)
+    return ChamberReport(Model.SEGRE_CUBIC, BaseLocus.B3, False)
+
+
+def test_mori_model_matches_the_branch_table():
+    grid = sorted({Fraction(p, q) for p in range(-6, 25) for q in range(1, 7)})
+    seen = set()
+    for x in grid:
+        for y in grid:
+            report = mori_model(SymmetricDivisor(6, {2: x, 3: y}))
+            assert report == branch_table(x, y), (x, y)
+            seen.add(report)
+    assert len(grid) ** 2 == 13_456
+    # four chambers, the walls -K and K + psi/3, the rays B2 and B3, the
+    # apex and the outside: every branch of the table
+    assert len(seen) == 9
+
+
+_slope_coefficient = st.one_of(
+    st.integers(0, 30).map(Fraction),
+    st.fractions(min_value=0, max_value=30, max_denominator=12),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_slope_coefficient, _slope_coefficient)
+@example(Fraction(0), Fraction(0))
+@example(Fraction(2), Fraction(1))
+@example(Fraction(1), Fraction(3))
+@example(Fraction(1), Fraction(0))
+@example(Fraction(0), Fraction(1))
+def test_base_locus_is_empty_exactly_on_the_nef_cone(x, y):
+    div = SymmetricDivisor(6, {2: x, 3: y})
+    assert (stable_base_locus(div) is BaseLocus.EMPTY) == is_f_nonnegative(div)[0]
 
 
 def test_chamber_lookup_needs_six_points():

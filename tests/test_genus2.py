@@ -133,6 +133,16 @@ def test_log_canonical_slice():
     assert hassett_keel_divisor(Fraction(7, 10)).boundary_form()[0] == 0
 
 
+def test_log_canonical_slice_matches_the_hand_reduction():
+    # 13 lambda - 2 delta + alpha delta with lambda = delta0/10 + delta1/5
+    for p in range(-20, 60):
+        for q in range(1, 9):
+            alpha = Fraction(p, q)
+            assert hassett_keel_divisor(alpha) == M2Divisor(
+                Space.STACK, 0, alpha - Fraction(7, 10), alpha + Fraction(3, 5)
+            )
+
+
 def test_log_canonical_thresholds():
     expectations = (
         (Fraction(7, 10), M2Model.POINT, True),
