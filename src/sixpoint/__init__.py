@@ -38,7 +38,6 @@ from .stability import (
 from .strata import (
     StratumSignature,
     classify_stratum,
-    is_strictly_semistable_pattern,
     polystable_degeneration,
     stratum_representative,
     stratum_signature,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Mapping
 
-from .exact import _cleared
+from .exact import _cleared, _rational
 
 __all__ = [
     "SymmetricDivisor",
@@ -60,7 +60,7 @@ class SymmetricDivisor:
         for i, c in (coeffs or {}).items():
             if not 2 <= i <= n - 2:
                 raise ValueError(f"boundary index {i} out of range 2..{n - 2}")
-            acc[min(i, n - i)] += Fraction(c)
+            acc[min(i, n - i)] += _rational(c)
         self.coeffs = tuple(acc[i] for i in range(2, n // 2 + 1))
 
     def coefficient(self, i: int) -> Fraction:
@@ -86,7 +86,7 @@ class SymmetricDivisor:
         return SymmetricDivisor(self.n, {i + 2: -c for i, c in enumerate(self.coeffs)})
 
     def __mul__(self, scalar) -> "SymmetricDivisor":
-        s = Fraction(scalar)
+        s = _rational(scalar)
         return SymmetricDivisor(self.n, {i + 2: s * c for i, c in enumerate(self.coeffs)})
 
     __rmul__ = __mul__
@@ -151,7 +151,7 @@ def psi_divisor(n: int) -> SymmetricDivisor:
 
 def from_k_psi(n: int, a: Fraction | int, b: Fraction | int) -> SymmetricDivisor:
     """The divisor a*K + b*psi, expressed back in the boundary basis."""
-    return Fraction(a) * canonical_divisor(n) + Fraction(b) * psi_divisor(n)
+    return _rational(a) * canonical_divisor(n) + _rational(b) * psi_divisor(n)
 
 
 def canonical_polarization() -> SymmetricDivisor:

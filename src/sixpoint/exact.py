@@ -10,6 +10,7 @@ nonzero entry positive) so they can be frozen in golden tests.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -38,6 +39,15 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+def _rational(value) -> Fraction:
+    """An exact rational (int, Fraction or any ``numbers.Rational``) as a
+    Fraction.  Anything else raises TypeError: a binary floating-point
+    value is not the decimal it was typed as, so it is never converted."""
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
+    return Fraction(value)
+
+
 def _cleared(vec: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """The vector times the lcm of its denominators, and that lcm."""
     scale = lcm(*(v.denominator for v in vec))
@@ -52,7 +62,7 @@ def integer_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     """
     ints = list(vec)
     if not all(type(v) is int for v in ints):
-        ints = _cleared([Fraction(v) for v in ints])[0]
+        ints = _cleared([_rational(v) for v in ints])[0]
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]

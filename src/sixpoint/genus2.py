@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .divisors import Model, SymmetricDivisor, mori_model
+from .exact import _rational
 
 __all__ = [
     "Space",
@@ -47,9 +48,9 @@ class M2Divisor:
 
     def __init__(self, space: Space, lam=0, delta0=0, delta1=0):
         object.__setattr__(self, "space", Space(space))
-        object.__setattr__(self, "lam", Fraction(lam))
-        object.__setattr__(self, "delta0", Fraction(delta0))
-        object.__setattr__(self, "delta1", Fraction(delta1))
+        object.__setattr__(self, "lam", _rational(lam))
+        object.__setattr__(self, "delta0", _rational(delta0))
+        object.__setattr__(self, "delta1", _rational(delta1))
 
     def to_coarse(self) -> "M2Divisor":
         """Rewrite in the coarse basis; the coarse map is ramified along
@@ -115,5 +116,5 @@ def hassett_keel_divisor(alpha) -> M2Divisor:
     Below alpha = 7/10 the class leaves the effective cone and the chamber
     lookup reports it as such.
     """
-    a = Fraction(alpha)
+    a = _rational(alpha)
     return M2Divisor(Space.STACK, 0, *M2Divisor(Space.STACK, 13, a - 2, a - 2).boundary_form())

@@ -13,10 +13,10 @@ projectively dual: the tangent-hyperplane (Gauss) map of the cubic,
 normalized back into the sum-zero hyperplane, lands on the quartic.
 
 Exact operations take rational coordinates.  The singularity test scales
-the point to integers and decides the Jacobian rank by the fraction-free
-integer elimination of ``exact``; sampled cubic points are built as
-integers throughout.  The duality sampler's irrational points have
-coordinates a + b sqrt(D) with integers a, b, and are decided exactly too.
+the point to integers and compares the gradient entries; sampled cubic
+points are built as integers throughout.  The duality sampler's irrational
+points have coordinates a + b sqrt(D) with integers a, b, and are decided
+exactly too.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .exact import echelon, integer_vector
+from .exact import integer_vector
 
 __all__ = [
     "Hypersurface",
@@ -83,10 +83,11 @@ def is_singular_point(surface: Hypersurface, coords: Sequence[Fraction | int]) -
     """Exact singularity test at a point of the threefold.
 
     The threefold is cut out by the linear and the degree form together, so
-    a point is singular when the 2x6 Jacobian of that pair drops rank.
-    The Jacobian is taken at the integer multiple of the point, which only
-    rescales its gradient row.  Zero vectors and points not on the
-    threefold are rejected.
+    a point is singular when the 2x6 Jacobian of that pair drops rank.  Its
+    first row is all ones, so the rank is below 2 exactly when the gradient
+    of the degree form has all entries equal.  The gradient is taken at the
+    integer multiple of the point, which only rescales it.  Zero vectors and
+    points not on the threefold are rejected.
     """
     point = integer_vector(coords)
     if not any(point):
@@ -96,7 +97,7 @@ def is_singular_point(surface: Hypersurface, coords: Sequence[Fraction | int]) -
         raise ValueError(
             f"point is not on {surface.value}: forms evaluate to {values[0]}, {values[1]}"
         )
-    return len(echelon([(1,) * 6, gradient(surface, point)])[1]) < 2
+    return len(set(gradient(surface, point))) == 1
 
 
 @dataclass(frozen=True)

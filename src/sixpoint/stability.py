@@ -21,7 +21,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import IntegerMatrix, _cleared, _inverse_up_to_scale, echelon, in_span, integer_vector
+from .exact import (
+    IntegerMatrix, _cleared, _inverse_up_to_scale, _rational, echelon, in_span, integer_vector,
+)
 
 __all__ = [
     "PointConfiguration",
@@ -134,7 +136,7 @@ class WeightVector:
     weights: tuple[Fraction, ...]
 
     def __init__(self, d: int, weights: Sequence[Fraction | int]):
-        ws = tuple(Fraction(w) for w in weights)
+        ws = tuple(_rational(w) for w in weights)
         if any(w <= 0 or w > 1 for w in ws):
             raise ValueError("weights must satisfy 0 < a_i <= 1")
         if sum(ws) != d + 1:
@@ -315,19 +317,18 @@ def move_flag_to_standard_position(flag: Sequence[tuple[int, ...]], d: int) -> I
     of basis vector e_k.
 
     The flag is one point (sent to e_0) or two points spanning a line
-    (sent to e_0, e_1); the basis is completed greedily with standard
-    basis vectors.  The result is an integer multiple of the inverse of the
-    matrix with those columns, which is the same projective map.
+    (sent to e_0, e_1).  The basis is completed with the e_k that are
+    independent of the flag and e_0, ..., e_{k-1}, in order of k: those
+    where coordinate k raises the rank of the flag's coordinates k..d, i.e.
+    where column d - k of the echelon form of the reversed flag holds no
+    pivot.  The result is an integer multiple of the inverse of the matrix
+    with those columns, which is the same projective map.
     """
     m = d + 1
-    columns = [tuple(p) for p in flag]
-    for k in range(m):
-        if len(columns) == m:
-            break
-        unit = tuple(int(i == k) for i in range(m))
-        trial = columns + [unit]
-        if len(echelon(trial)[1]) == len(trial):
-            columns.append(unit)
+    pivots = echelon(p[::-1] for p in flag)[1]
+    columns = [tuple(p) for p in flag] + [
+        tuple(int(i == k) for i in range(m)) for k in range(m) if d - k not in pivots
+    ]
     return _inverse_up_to_scale([[columns[j][i] for j in range(m)] for i in range(m)])[0]
 
 

@@ -2,28 +2,19 @@
 plane.
 
 With all weights 1/2 the only tight subspaces are a point carrying two
-marks and a line carrying four marks counted with multiplicity.  Sorting
-the possible combinations of those two shapes, together with the residual
-incidences among the remaining marks, yields eleven orbit strata, labelled
-I through XI.  Two of them (I and VII) are closed in the semistable locus;
-every other stratum degenerates onto one of those along an adapted diagonal
+marks and a line carrying four marks counted with multiplicity.  A strictly
+semistable sextuple falls into one of eleven orbit strata, labelled I
+through XI (Dolgachev-Ortland, Asterisque 165).  Each stratum has one
+incidence type: the signature with the mark labels dropped, i.e. the sorted
+sizes of the coincidence classes and the sorted (weighted, support) pair of
+each recorded line.  So classification is a lookup in a table with one entry
+per template, which the tests check against a decision chain on doubled
+points and four-mark lines over grid sextuples and projective images.
+
+Two strata (I and VII) are closed in the semistable locus; every other
+stratum degenerates onto one of those along an adapted diagonal
 one-parameter subgroup, which is how the quotient map is evaluated on
 strictly semistable configurations.
-
-The classification key for a signature:
-
-    doubled  four-mark lines          residual 3-mark line   label
-    3        3 (vertex joins)         -                      I
-    2        2                        -                      II
-    2        1 (the join)             -                      III
-    1        2 (both through it)      -                      IV
-    1        1 through the double     yes                    V
-    1        1 through the double     no                     VI
-    1        1 missing the double     -                      VII
-    1        0                        yes                    VIII
-    1        0                        no                     IX
-    0        1                        yes                    X
-    0        1                        no                     XI
 
 Stabilizer dimensions (2 for I, 1 for II and VII, 0 otherwise) and the
 degeneration targets are machine checks on the templates.  The stratum
@@ -55,7 +46,6 @@ __all__ = [
     "StratumSignature",
     "stratum_signature",
     "classify_stratum",
-    "is_strictly_semistable_pattern",
     "polystable_degeneration",
     "stratum_representative",
     "STRATUM_LABELS",
@@ -102,9 +92,6 @@ class StratumSignature:
     coincidence: tuple[tuple[int, ...], ...]
     lines: tuple[LineRecord, ...]
 
-    def doubled_classes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(cls for cls in self.coincidence if len(cls) == 2)
-
 
 def stratum_signature(config: PointConfiguration) -> StratumSignature:
     """Coincidence-and-collinearity type of a plane configuration.
@@ -130,56 +117,40 @@ def stratum_signature(config: PointConfiguration) -> StratumSignature:
     )
 
 
+# incidence type -> stratum, one entry per template in _REPRESENTATIVES:
+# (sorted coincidence class sizes, sorted (weighted, support) line pairs)
+_STRATUM_OF_TYPE = {
+    ((2, 2, 2), ((4, 2), (4, 2), (4, 2))): "I",
+    ((1, 1, 2, 2), ((4, 2), (4, 3))): "II",
+    ((1, 1, 2, 2), ((4, 2),)): "III",
+    ((1, 1, 1, 1, 2), ((4, 3), (4, 3))): "IV",
+    ((1, 1, 1, 1, 2), ((3, 3), (4, 3))): "V",
+    ((1, 1, 1, 1, 2), ((4, 3),)): "VI",
+    ((1, 1, 1, 1, 2), ((4, 4),)): "VII",
+    ((1, 1, 1, 1, 2), ((3, 3),)): "VIII",
+    ((1, 1, 1, 1, 2), ()): "IX",
+    ((1, 1, 1, 1, 1, 1), ((3, 3), (4, 4))): "X",
+    ((1, 1, 1, 1, 1, 1), ((4, 4),)): "XI",
+}
+
+
 def classify_stratum(sig: StratumSignature, verdict: StabilityVerdict) -> str:
     """Stratum label for a signature, given the stability verdict.
 
     Returns one of I..XI for strictly semistable plane sextuples with
     symmetric weights, "Stable"/"Unstable" when the verdict says so, and
-    "Unrecognized" for shapes outside the table (which should not occur for
-    this weight system).
+    "Unrecognized" for incidence types outside the table (which should not
+    occur for this weight system).
     """
     if verdict.status == Status.UNSTABLE:
         return "Unstable"
     if verdict.status == Status.STABLE:
         return "Stable"
-    doubled = sig.doubled_classes()
-    heavy = [rec for rec in sig.lines if rec.weighted >= 4]
-    residual = [rec for rec in sig.lines if rec.weighted == 3]
-    doubled_marks = {cls[0] for cls in doubled}
-    through_double = [
-        rec for rec in heavy if any(m in rec.marks for m in doubled_marks)
-    ]
-    key = (len(doubled), len(heavy))
-    if key == (3, 3):
-        return "I"
-    if key == (2, 2):
-        return "II"
-    if key == (2, 1):
-        return "III"
-    if key == (1, 2):
-        return "IV"
-    if key == (1, 1):
-        if through_double:
-            return "V" if residual else "VI"
-        return "VII"
-    if key == (1, 0):
-        return "VIII" if residual else "IX"
-    if key == (0, 1):
-        return "X" if residual else "XI"
-    return "Unrecognized"
-
-
-def is_strictly_semistable_pattern(config: PointConfiguration) -> bool:
-    """True when a plane sextuple with symmetric weights is strictly
-    semistable with every tight subspace of the two admissible shapes:
-    two marks on a point, four marks on a line."""
-    verdict = stability_status(config, symmetric_weights(config.n, config.d))
-    if verdict.status != Status.STRICTLY_SEMISTABLE:
-        return False
-    for w in verdict.equality_witnesses():
-        if (w.dim, len(w.marks)) not in ((0, 2), (1, 4)):
-            return False
-    return True
+    incidence = (
+        tuple(sorted(len(cls) for cls in sig.coincidence)),
+        tuple(sorted((rec.weighted, rec.support) for rec in sig.lines)),
+    )
+    return _STRATUM_OF_TYPE.get(incidence, "Unrecognized")
 
 
 # adapted subgroup weights: repel everything away from a tight point, or
@@ -212,12 +183,12 @@ def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfigurat
     """Degenerate a strictly semistable plane sextuple to its closed orbit.
 
     Iterates one-parameter limits adapted to the equality witnesses until
-    the stratum label is I or VII; configurations already there are
-    returned unchanged.  A step need not leave the stratum: some stratum II
-    sextuples go II -> II -> I.  What holds is a measured bound: over all
-    six-point multisets of the 13 points of P^2 with coordinates in
-    {-1, 0, 1}, no degeneration takes more than 2 advancing steps.  The cap
-    of 16 iterations below has no proof behind it.
+    the stratum is its own entry in ``STRATUM_CLOSED_ORBIT``; configurations
+    already there are returned unchanged.  A step need not leave the
+    stratum: some stratum II sextuples go II -> II -> I.  What holds is a
+    measured bound: over all six-point multisets of the 13 points of P^2
+    with coordinates in {-1, 0, 1}, no degeneration takes more than 2
+    advancing steps.  The cap of 16 iterations below has no proof behind it.
     """
     if config.d != 2 or config.n != 6:
         raise ValueError("degeneration is defined for six points in the plane")
@@ -227,7 +198,7 @@ def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfigurat
         raise ValueError(f"input is {verdict.status.value}, not strictly semistable")
     for _ in range(16):
         label = classify_stratum(stratum_signature(config), verdict)
-        if label in ("I", "VII"):
+        if STRATUM_CLOSED_ORBIT.get(label) == label:
             return config, label
         for transform, subgroup_weights in _witness_flags(config, verdict):
             moved = apply_transformation(transform, config)
@@ -250,7 +221,7 @@ _E1 = (0, 1, 0)
 _E2 = (0, 0, 1)
 
 # hand-transcribed templates, one per stratum; coordinates are chosen so the
-# incidences are exact and easy to audit against the classification key
+# incidences are exact and easy to audit against _STRATUM_OF_TYPE
 _REPRESENTATIVES = {
     "I": (_E0, _E0, _E1, _E1, _E2, _E2),
     "II": (_E0, _E0, _E1, _E1, _E2, (1, 0, 1)),

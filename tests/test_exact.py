@@ -76,7 +76,7 @@ def test_integer_vector_canonicalization():
     assert integer_vector([Fraction(-2), Fraction(4)]) == (1, -2)
     assert integer_vector([0, 0]) == (0, 0)
     assert integer_vector((0, -6, 4, 2)) == (0, 3, -2, -1)
-    assert integer_vector(["1/2", 0.25]) == (2, 1)
+    assert integer_vector([Fraction(1, 2), Fraction(1, 4)]) == (2, 1)
     assert all(type(x) is int for x in integer_vector([Fraction(3, 2), 6]))
 
 

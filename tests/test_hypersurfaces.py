@@ -134,6 +134,23 @@ def test_random_cubic_points_really_sit_on_the_cubic():
         assert evaluate(SEGRE, p) == (0, 0)
 
 
+def test_singularity_matches_the_jacobian_rank():
+    # the 2x6 Jacobian of the linear and the degree form, ranked by sympy
+    cases = [(SEGRE, p) for p in [*segre_nodes(), *random_cubic_points(100, seed=3)]]
+    cases += [
+        (IGUSA, line_point(line, a, b))
+        for line in pair_partition_lines()
+        for a, b in LINE_PARAMETERS
+    ]
+    cases.append((IGUSA, (1, -1, 2, -2, 3, -3)))
+    singular = 0
+    for surface, point in cases:
+        drops = sympy.Matrix([[1] * 6, list(gradient(surface, point))]).rank() < 2
+        assert is_singular_point(surface, point) == drops, point
+        singular += drops
+    assert 0 < singular < len(cases)
+
+
 def test_no_extra_singular_points_in_a_quick_search():
     assert search_extra_singular_points(2000, seed=11) == []
 

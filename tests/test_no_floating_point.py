@@ -6,9 +6,16 @@ Every decision in ``sixpoint`` is exact, so no module under
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import sixpoint
+from sixpoint.divisors import SymmetricDivisor, boundary, from_k_psi
+from sixpoint.exact import integer_vector
+from sixpoint.genus2 import M2Divisor, Space, hassett_keel_divisor
+from sixpoint.stability import PointConfiguration, WeightVector
 
 FORBIDDEN_MATH = {"sqrt", "isfinite", "inf"}
 
@@ -56,3 +63,23 @@ def test_no_floating_point_in_the_package():
         module.name: float_uses(module.read_text(encoding="utf-8")) for module in modules
     }
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+FLOAT_INPUTS = {
+    "SymmetricDivisor coefficient": lambda: SymmetricDivisor(6, {2: 0.5}),
+    "SymmetricDivisor scalar": lambda: 0.5 * boundary(6, 2),
+    "from_k_psi": lambda: from_k_psi(6, 0.5, 1),
+    "M2Divisor": lambda: M2Divisor(Space.STACK, delta0=0.5),
+    "hassett_keel_divisor": lambda: hassett_keel_divisor(0.7),
+    "WeightVector": lambda: WeightVector(2, [0.5] * 6),
+    "integer_vector": lambda: integer_vector([Fraction(1, 2), 0.25]),
+    "PointConfiguration": lambda: PointConfiguration(2, [(1, 0.5, 0)]),
+}
+
+
+@pytest.mark.parametrize("build", FLOAT_INPUTS.values(), ids=FLOAT_INPUTS)
+def test_float_input_is_rejected(build):
+    # 0.7 as a double is not 7/10: converting it would move the slice off
+    # the Point wall, so every exact entry point refuses it
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        build()

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import sixpoint.stability as stability_module
-from sixpoint.exact import echelon
+from sixpoint.exact import _inverse_up_to_scale, echelon
 from sixpoint.stability import (
     OneParameterSubgroup,
     PointConfiguration,
@@ -219,6 +219,38 @@ def test_move_flag_to_standard_position_sends_the_flag_to_the_basis():
                     image = [sum(a * x for a, x in zip(row, point)) for row in matrix]
                     assert image[k] != 0
                     assert all(x == 0 for j, x in enumerate(image) if j != k)
+
+
+def greedy_flag_transformation(flag, d):
+    """Oracle: complete the flag with e_0, e_1, ... in turn, keeping each
+    unit vector that is independent of the columns so far."""
+    m = d + 1
+    columns = [tuple(p) for p in flag]
+    for k in range(m):
+        unit = tuple(int(i == k) for i in range(m))
+        if len(columns) < m and len(echelon(columns + [unit])[1]) == len(columns) + 1:
+            columns.append(unit)
+    return _inverse_up_to_scale([[columns[j][i] for j in range(m)] for i in range(m)])[0]
+
+
+def test_flag_completion_matches_the_greedy_unit_vectors():
+    rng = random.Random(29)
+    checked = 0
+    for d in (1, 2, 3):
+        for size in range(1, d + 1):
+            for _ in range(150):
+                # sparse entries, so that many flags miss some coordinates
+                flag = [
+                    tuple(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(d + 1))
+                    for _ in range(size)
+                ]
+                if len(echelon(flag)[1]) < size:
+                    continue
+                assert move_flag_to_standard_position(flag, d) == greedy_flag_transformation(
+                    flag, d
+                ), flag
+                checked += 1
+    assert checked > 500
 
 
 def test_flats_of_collinear_points_need_one_elimination(monkeypatch):

@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sixpoint.exact import RationalMatrix, echelon
 from sixpoint.stability import (
@@ -21,7 +22,6 @@ from sixpoint.strata import (
     STRATUM_LABELS,
     STRATUM_STABILIZER_DIMENSION,
     classify_stratum,
-    is_strictly_semistable_pattern,
     polystable_degeneration,
     stratum_representative,
     stratum_signature,
@@ -46,8 +46,7 @@ def test_signature_of_three_doubled_vertices():
 
 def test_signature_of_double_plus_line():
     sig = stratum_signature(stratum_representative("VII"))
-    assert len(sig.doubled_classes()) == 1
-    assert sum(1 for cls in sig.coincidence if len(cls) == 1) == 4
+    assert sorted(len(cls) for cls in sig.coincidence) == [1, 1, 1, 1, 2]
     assert len(sig.lines) == 1
     assert sig.lines[0].weighted == 4 and sig.lines[0].support == 4
 
@@ -139,17 +138,6 @@ def test_degeneration_rejects_non_sextuples():
     tripled_on_line = PointConfiguration(1, [(1, 0)] * 3 + [(0, 1), (1, 1), (1, 2)])
     with pytest.raises(ValueError, match="six points in the plane"):
         polystable_degeneration(tripled_on_line)
-
-
-def test_strictly_semistable_pattern_flag():
-    assert is_strictly_semistable_pattern(stratum_representative("I"))
-    assert is_strictly_semistable_pattern(stratum_representative("XI"))
-    assert not is_strictly_semistable_pattern(
-        PointConfiguration(2, [(1, t, t * t) for t in range(6)])
-    )
-    assert not is_strictly_semistable_pattern(
-        PointConfiguration(2, [E0, E0, E0, E1, E2, (1, 1, 1)])
-    )
 
 
 def test_double_plus_generic_points_is_the_free_stratum():
@@ -257,6 +245,36 @@ def test_stratum_dimensions_from_incidence_conditions():
         assert 12 - len(echelon(rows)[1]) == STRATUM_DIMENSION[label], label
 
 
+def stratum_by_decision_chain(sig, verdict):
+    """Oracle: the stratum from a decision chain on the number of doubled
+    points and four-mark lines, whether a four-mark line runs through a
+    doubled point, and whether three single marks are collinear."""
+    if verdict.status != Status.STRICTLY_SEMISTABLE:
+        return verdict.status.value
+    doubled_marks = {cls[0] for cls in sig.coincidence if len(cls) == 2}
+    heavy = [rec for rec in sig.lines if rec.weighted >= 4]
+    residual = [rec for rec in sig.lines if rec.weighted == 3]
+    through_double = [rec for rec in heavy if any(m in rec.marks for m in doubled_marks)]
+    key = (len(doubled_marks), len(heavy))
+    if key == (3, 3):
+        return "I"
+    if key == (2, 2):
+        return "II"
+    if key == (2, 1):
+        return "III"
+    if key == (1, 2):
+        return "IV"
+    if key == (1, 1):
+        if through_double:
+            return "V" if residual else "VI"
+        return "VII"
+    if key == (1, 0):
+        return "VIII" if residual else "IX"
+    if key == (0, 1):
+        return "X" if residual else "XI"
+    return "Unrecognized"
+
+
 CENSUS_ANSWERS = Path(__file__).resolve().parents[1] / "bench" / "census_answers.txt"
 CENSUS_CODES = {"Unstable": "U", "Stable": "S"}
 CENSUS_CODES.update({label: chr(ord("a") + i) for i, label in enumerate(STRATUM_LABELS)})
@@ -265,7 +283,7 @@ CENSUS_CODES.update({label: chr(ord("a") + i) for i, label in enumerate(STRATUM_
 def test_census_grid_slice_matches_recorded_answers():
     # every 16th six-point multiset of the 13 points of {-1,0,1}^3 up to
     # sign; the recorded code per multiset is label, stabilizer dimension
-    # and conic answer
+    # and conic answer, and the label agrees with the decision-chain oracle
     grid = [
         v
         for v in itertools.product((-1, 0, 1), repeat=3)
@@ -277,7 +295,9 @@ def test_census_grid_slice_matches_recorded_answers():
     for index, points in itertools.islice(enumerate(multisets), 0, None, 16):
         config = PointConfiguration(2, points)
         verdict = stability_status(config, W)
-        label = classify_stratum(stratum_signature(config), verdict)
+        sig = stratum_signature(config)
+        label = classify_stratum(sig, verdict)
+        assert label == stratum_by_decision_chain(sig, verdict), points
         code = f"{CENSUS_CODES[label]}{stabilizer_dimension(config)}{int(lies_on_conic(config))}"
         assert code == answers[3 * index : 3 * index + 3], points
         if verdict.status == Status.STRICTLY_SEMISTABLE:
@@ -286,3 +306,44 @@ def test_census_grid_slice_matches_recorded_answers():
             assert label_of(closed) == target, points
         checked += 1
     assert len(grid) == 13 and len(answers) == 3 * 18564 and checked == 1161
+
+
+def assert_lookup_matches_chain(config):
+    sig = stratum_signature(config)
+    verdict = stability_status(config, W)
+    assert classify_stratum(sig, verdict) == stratum_by_decision_chain(sig, verdict), config
+
+
+def test_lookup_matches_decision_chain_on_projective_images():
+    rng = random.Random(53)
+    for label in STRATUM_LABELS:
+        template = stratum_representative(label)
+        for _ in range(4):
+            assert_lookup_matches_chain(apply_transformation(random_transformation(rng, 2), template))
+
+
+@st.composite
+def incident_sextuples(draw):
+    """Six plane points, each free, a copy of an earlier point, or an
+    integer combination of two earlier points (so collinear with them)."""
+    coordinate = st.integers(-3, 3)
+    free = st.tuples(coordinate, coordinate, coordinate).filter(any)
+    points = [draw(free), draw(free)]
+    while len(points) < 6:
+        kind = draw(st.sampled_from(("free", "copy", "combination")))
+        if kind == "free":
+            points.append(draw(free))
+        elif kind == "copy":
+            points.append(draw(st.sampled_from(points)))
+        else:
+            p, q = draw(st.permutations(points))[:2]
+            a, b = draw(coordinate), draw(coordinate)
+            combined = tuple(a * x + b * y for x, y in zip(p, q))
+            points.append(combined if any(combined) else p)
+    return PointConfiguration(2, draw(st.permutations(points)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(incident_sextuples())
+def test_lookup_matches_decision_chain_on_forced_incidences(config):
+    assert_lookup_matches_chain(config)
