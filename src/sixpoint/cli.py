@@ -323,10 +323,6 @@ def _config_lines(config: PointConfiguration) -> list[str]:
 
 
 def _cmd_git(args) -> int:
-    if args.action in ("limit", "degenerate", "conic") and (
-        args.weights is not None or args.weights_file is not None
-    ):
-        raise CLIError(f"git {args.action} takes no --weights or --weights-file")
     config = parse_points_text(_read_file(args.config), args.dim)
     if args.action == "stability":
         weights = _load_weights(args, config)
@@ -510,6 +506,7 @@ def _cmd_hypersurface(args) -> int:
         ],
         {
             "samples": report.samples,
+            "rationalSamples": report.exact_samples,
             "skipped": report.skipped,
             "nonzeroResiduals": report.nonzero_residuals,
             "pass": report.passed,
@@ -669,6 +666,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# optional flag groups (by argparse dest) and the actions that read them;
+# any other action of the command exits 2 when given one of them
+_FLAG_READERS = {
+    "divisor": {("curve",): ("intersect",)},
+    "git": {("weights", "weights_file"): ("stability", "stratum"), ("lps",): ("limit",)},
+    "hypersurface": {("surface", "point"): ("eval", "singular")},
+}
+
+
+def _reject_unread_flags(args) -> None:
+    for dests, readers in _FLAG_READERS.get(args.command, {}).items():
+        if args.action not in readers and any(getattr(args, d) is not None for d in dests):
+            flags = " or ".join("--" + d.replace("_", "-") for d in dests)
+            raise CLIError(f"{args.command} {args.action} takes no {flags}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -680,6 +693,7 @@ def main(argv=None) -> int:
         "paper-report": _cmd_paper_report,
     }
     try:
+        _reject_unread_flags(args)
         return dispatch[args.command](args)
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

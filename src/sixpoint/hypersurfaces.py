@@ -39,7 +39,6 @@ __all__ = [
     "PairLine",
     "pair_partition_lines",
     "line_point",
-    "line_contains",
     "line_intersections",
     "segre_nodes",
     "pair_pattern_point",
@@ -141,13 +140,6 @@ def line_point(line: PairLine, a, b, c=None) -> tuple:
     if all(x == 0 for x in coords):
         raise ValueError("zero vector is not a projective point")
     return tuple(coords)
-
-
-def line_contains(line: PairLine, coords: Sequence[Fraction | int]) -> bool:
-    return (
-        all(coords[i] == coords[j] for i, j in line.pairs)
-        and sum(coords) == 0
-    )
 
 
 def line_intersections() -> dict[tuple[int, ...], tuple[int, ...]]:

@@ -4,29 +4,21 @@ plane.
 With all weights 1/2 the only tight subspaces are a point carrying two
 marks and a line carrying four marks counted with multiplicity.  A strictly
 semistable sextuple falls into one of eleven orbit strata, labelled I
-through XI (Dolgachev-Ortland, Asterisque 165).  Each stratum has one
-incidence type: the signature with the mark labels dropped, i.e. the sorted
-sizes of the coincidence classes and the sorted (weighted, support) pair of
-each recorded line.  So classification is a lookup in a table with one entry
-per template, which the tests check against a decision chain on doubled
-points and four-mark lines over grid sextuples and projective images.
-
-Two strata (I and VII) are closed in the semistable locus; every other
-stratum degenerates onto one of those along an adapted diagonal
-one-parameter subgroup, which is how the quotient map is evaluated on
-strictly semistable configurations.
-
-Stabilizer dimensions (2 for I, 1 for II and VII, 0 otherwise) and the
-degeneration targets are machine checks on the templates.  The stratum
-dimensions inside the configuration product (6,7,8,8,8,9,8,9,10,9,10) are
-checked by the test suite as 12 minus the rank of the linearized incidence
-conditions at each template.
+through XI (Dolgachev-Ortland, Asterisque 165).  The private table
+``_STRATA`` holds one row per stratum: a template, its incidence type, its
+stabilizer dimension, its closed orbit and its dimension in (P^2)^6.  The
+public ``STRATUM_*`` tables are views of it, and the tests check every row
+against the templates.  The incidence type is the signature with the mark
+labels dropped, so classification is a lookup on it.  Two strata (I and
+VII) are closed in the semistable locus; every other stratum degenerates
+onto one of them along adapted diagonal one-parameter subgroups, which is
+how the quotient map is evaluated on strictly semistable configurations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exact import IntegerMatrix
 from .stability import (
@@ -54,24 +46,49 @@ __all__ = [
     "STRATUM_DIMENSION",
 ]
 
-STRATUM_LABELS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI")
+_E0, _E1, _E2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
-STRATUM_STABILIZER_DIMENSION = {
-    "I": 2, "II": 1, "III": 0, "IV": 0, "V": 0, "VI": 0,
-    "VII": 1, "VIII": 0, "IX": 0, "X": 0, "XI": 0,
+
+class _Stratum(NamedTuple):
+    template: tuple[tuple[int, int, int], ...]
+    # sorted coincidence class sizes, sorted (weighted, support) line pairs
+    incidence: tuple
+    stabilizer_dimension: int
+    closed_orbit: str  # the closed stratum reached by degeneration
+    dimension: int  # inside the configuration product (P^2)^6
+
+
+# one row per stratum; the template coordinates keep its incidences exact
+_STRATA = {
+    "I": _Stratum((_E0, _E0, _E1, _E1, _E2, _E2),
+                  ((2, 2, 2), ((4, 2), (4, 2), (4, 2))), 2, "I", 6),
+    "II": _Stratum((_E0, _E0, _E1, _E1, _E2, (1, 0, 1)),
+                   ((1, 1, 2, 2), ((4, 2), (4, 3))), 1, "I", 7),
+    "III": _Stratum((_E0, _E0, _E1, _E1, _E2, (1, 1, 1)),
+                    ((1, 1, 2, 2), ((4, 2),)), 0, "I", 8),
+    "IV": _Stratum((_E0, _E0, _E2, (1, 0, 1), _E1, (1, 1, 0)),
+                   ((1, 1, 1, 1, 2), ((4, 3), (4, 3))), 0, "I", 8),
+    "V": _Stratum((_E0, _E0, _E2, (1, 0, 1), (1, 1, 0), (1, 1, 1)),
+                  ((1, 1, 1, 1, 2), ((3, 3), (4, 3))), 0, "I", 8),
+    "VI": _Stratum((_E0, _E0, _E2, (1, 0, 1), _E1, (2, 1, 1)),
+                   ((1, 1, 1, 1, 2), ((4, 3),)), 0, "I", 9),
+    "VII": _Stratum((_E2, _E2, _E0, _E1, (1, 1, 0), (1, 2, 0)),
+                    ((1, 1, 1, 1, 2), ((4, 4),)), 1, "VII", 8),
+    "VIII": _Stratum((_E0, _E0, _E1, _E2, (0, 1, 1), (1, 1, 3)),
+                     ((1, 1, 1, 1, 2), ((3, 3),)), 0, "VII", 9),
+    "IX": _Stratum((_E0, _E0, _E1, _E2, (1, 1, 1), (1, 2, 4)),
+                   ((1, 1, 1, 1, 2), ()), 0, "VII", 10),
+    "X": _Stratum((_E0, _E1, (1, 1, 0), (1, 2, 0), _E2, (1, 0, 1)),
+                  ((1, 1, 1, 1, 1, 1), ((3, 3), (4, 4))), 0, "VII", 9),
+    "XI": _Stratum((_E0, _E1, (1, 1, 0), (1, 2, 0), _E2, (1, 3, 1)),
+                   ((1, 1, 1, 1, 1, 1), ((4, 4),)), 0, "VII", 10),
 }
 
-# closed-orbit stratum reached by degeneration
-STRATUM_CLOSED_ORBIT = {
-    "I": "I", "II": "I", "III": "I", "IV": "I", "V": "I", "VI": "I",
-    "VII": "VII", "VIII": "VII", "IX": "VII", "X": "VII", "XI": "VII",
-}
-
-# dimension inside the configuration product (P^2)^6
-STRATUM_DIMENSION = {
-    "I": 6, "II": 7, "III": 8, "IV": 8, "V": 8, "VI": 9,
-    "VII": 8, "VIII": 9, "IX": 10, "X": 9, "XI": 10,
-}
+STRATUM_LABELS = tuple(_STRATA)
+STRATUM_STABILIZER_DIMENSION = {label: row.stabilizer_dimension for label, row in _STRATA.items()}
+STRATUM_CLOSED_ORBIT = {label: row.closed_orbit for label, row in _STRATA.items()}
+STRATUM_DIMENSION = {label: row.dimension for label, row in _STRATA.items()}
+_STRATUM_OF_TYPE = {row.incidence: label for label, row in _STRATA.items()}
 
 
 @dataclass(frozen=True)
@@ -117,23 +134,6 @@ def stratum_signature(config: PointConfiguration) -> StratumSignature:
     )
 
 
-# incidence type -> stratum, one entry per template in _REPRESENTATIVES:
-# (sorted coincidence class sizes, sorted (weighted, support) line pairs)
-_STRATUM_OF_TYPE = {
-    ((2, 2, 2), ((4, 2), (4, 2), (4, 2))): "I",
-    ((1, 1, 2, 2), ((4, 2), (4, 3))): "II",
-    ((1, 1, 2, 2), ((4, 2),)): "III",
-    ((1, 1, 1, 1, 2), ((4, 3), (4, 3))): "IV",
-    ((1, 1, 1, 1, 2), ((3, 3), (4, 3))): "V",
-    ((1, 1, 1, 1, 2), ((4, 3),)): "VI",
-    ((1, 1, 1, 1, 2), ((4, 4),)): "VII",
-    ((1, 1, 1, 1, 2), ((3, 3),)): "VIII",
-    ((1, 1, 1, 1, 2), ()): "IX",
-    ((1, 1, 1, 1, 1, 1), ((3, 3), (4, 4))): "X",
-    ((1, 1, 1, 1, 1, 1), ((4, 4),)): "XI",
-}
-
-
 def classify_stratum(sig: StratumSignature, verdict: StabilityVerdict) -> str:
     """Stratum label for a signature, given the stability verdict.
 
@@ -142,10 +142,8 @@ def classify_stratum(sig: StratumSignature, verdict: StabilityVerdict) -> str:
     "Unrecognized" for incidence types outside the table (which should not
     occur for this weight system).
     """
-    if verdict.status == Status.UNSTABLE:
-        return "Unstable"
-    if verdict.status == Status.STABLE:
-        return "Stable"
+    if verdict.status != Status.STRICTLY_SEMISTABLE:
+        return verdict.status.value
     incidence = (
         tuple(sorted(len(cls) for cls in sig.coincidence)),
         tuple(sorted((rec.weighted, rec.support) for rec in sig.lines)),
@@ -167,28 +165,33 @@ def _witness_flags(
     point flags first, each keyed by lowest mark index for determinism.
     Each transformation is built only when the caller reaches its flag."""
     for w in sorted(verdict.equality_witnesses(), key=lambda w: (w.dim, w.marks)):
+        anchor = config.points[w.marks[0]]
         if w.dim == 0:
-            yield (move_flag_to_standard_position(
-                [config.points[w.marks[0]]], 2), _POINT_FLAG_WEIGHTS)
+            yield move_flag_to_standard_position([anchor], 2), _POINT_FLAG_WEIGHTS
         else:
-            anchor = config.points[w.marks[0]]
-            other = next(
-                config.points[i] for i in w.marks if config.points[i] != anchor
-            )
-            yield (move_flag_to_standard_position([anchor, other], 2),
-                   _LINE_FLAG_WEIGHTS)
+            other = next(config.points[i] for i in w.marks if config.points[i] != anchor)
+            yield move_flag_to_standard_position([anchor, other], 2), _LINE_FLAG_WEIGHTS
 
 
 def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfiguration, str]:
     """Degenerate a strictly semistable plane sextuple to its closed orbit.
 
-    Iterates one-parameter limits adapted to the equality witnesses until
-    the stratum is its own entry in ``STRATUM_CLOSED_ORBIT``; configurations
-    already there are returned unchanged.  A step need not leave the
-    stratum: some stratum II sextuples go II -> II -> I.  What holds is a
-    measured bound: over all six-point multisets of the 13 points of P^2
-    with coordinates in {-1, 0, 1}, no degeneration takes more than 2
-    advancing steps.  The cap of 16 iterations below has no proof behind it.
+    Each pass returns the configuration if its stratum is its own entry in
+    ``STRATUM_CLOSED_ORBIT``, and otherwise takes the first adapted
+    Hilbert-Mumford limit (Mumford-Fogarty-Kirwan, ch. 4) that moves it,
+    trying point flags before line flags, each by lowest mark.  Three
+    passes suffice: at most two limits advance and at most three are tried.
+
+    * A point witness's limit projects the other four marks from it onto
+      the opposite line; a line witness's limit sends the two marks off the
+      line to the opposite vertex.  Either way the limit is a double point
+      plus four marks on a line that misses it: stratum I, II or VII.  So
+      the first flag's limit moves unless the configuration has that shape.
+    * In II, let q be the double point off the four-mark line L and p the
+      double point on it.  Every first step from another stratum, and every
+      step taken from q, leaves q and L in standard position: q at e0 with
+      L at x0 = 0, or q at e2 with L = span(e0, e1).  There q's flag does
+      not move, and p's limit merges the two single marks on L, reaching I.
     """
     if config.d != 2 or config.n != 6:
         raise ValueError("degeneration is defined for six points in the plane")
@@ -196,7 +199,7 @@ def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfigurat
     verdict = stability_status(config, weights)
     if verdict.status != Status.STRICTLY_SEMISTABLE:
         raise ValueError(f"input is {verdict.status.value}, not strictly semistable")
-    for _ in range(16):
+    for _ in range(3):
         label = classify_stratum(stratum_signature(config), verdict)
         if STRATUM_CLOSED_ORBIT.get(label) == label:
             return config, label
@@ -207,38 +210,15 @@ def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfigurat
                 config = limit
                 verdict = stability_status(config, weights)
                 if verdict.status != Status.STRICTLY_SEMISTABLE:
-                    raise RuntimeError(
-                        "adapted limit left the strictly semistable locus"
-                    )
+                    raise RuntimeError("adapted limit left the strictly semistable locus")
                 break
         else:
             raise RuntimeError("no adapted subgroup advanced the degeneration")
     raise RuntimeError("degeneration did not reach a closed orbit")
 
 
-_E0 = (1, 0, 0)
-_E1 = (0, 1, 0)
-_E2 = (0, 0, 1)
-
-# hand-transcribed templates, one per stratum; coordinates are chosen so the
-# incidences are exact and easy to audit against _STRATUM_OF_TYPE
-_REPRESENTATIVES = {
-    "I": (_E0, _E0, _E1, _E1, _E2, _E2),
-    "II": (_E0, _E0, _E1, _E1, _E2, (1, 0, 1)),
-    "III": (_E0, _E0, _E1, _E1, _E2, (1, 1, 1)),
-    "IV": (_E0, _E0, _E2, (1, 0, 1), _E1, (1, 1, 0)),
-    "V": (_E0, _E0, _E2, (1, 0, 1), (1, 1, 0), (1, 1, 1)),
-    "VI": (_E0, _E0, _E2, (1, 0, 1), _E1, (2, 1, 1)),
-    "VII": (_E2, _E2, _E0, _E1, (1, 1, 0), (1, 2, 0)),
-    "VIII": (_E0, _E0, _E1, _E2, (0, 1, 1), (1, 1, 3)),
-    "IX": (_E0, _E0, _E1, _E2, (1, 1, 1), (1, 2, 4)),
-    "X": (_E0, _E1, (1, 1, 0), (1, 2, 0), _E2, (1, 0, 1)),
-    "XI": (_E0, _E1, (1, 1, 0), (1, 2, 0), _E2, (1, 3, 1)),
-}
-
-
 def stratum_representative(label: str) -> PointConfiguration:
     """A concrete configuration realizing the given stratum."""
-    if label not in _REPRESENTATIVES:
+    if label not in _STRATA:
         raise ValueError(f"unknown stratum label {label!r}")
-    return PointConfiguration(2, _REPRESENTATIVES[label])
+    return PointConfiguration(2, _STRATA[label].template)

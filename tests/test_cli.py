@@ -229,6 +229,27 @@ def test_git_actions_without_weights_reject_weight_flags(capsys, stratum_file, t
             assert err == f"error: git {action} takes no --weights or --weights-file\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hypersurface", "lines", "--surface", "segre", "--point", "1,2"],
+         "hypersurface lines takes no --surface or --point"),
+        (["hypersurface", "duality", "--point", "1,2"],
+         "hypersurface duality takes no --surface or --point"),
+        (["divisor", "eval", "--expr", "B2", "--curve", "F:1,1,1,3"],
+         "divisor eval takes no --curve"),
+        (["divisor", "chamber", "--expr", "B2", "--curve", "C:4"],
+         "divisor chamber takes no --curve"),
+        (["git", "stability", "CONFIG", "--lps", "1,0,0"], "git stability takes no --lps"),
+        (["git", "degenerate", "CONFIG", "--lps", "1,0,0"], "git degenerate takes no --lps"),
+    ],
+)
+def test_actions_reject_flags_they_do_not_read(capsys, stratum_file, argv, message):
+    argv = [stratum_file if arg == "CONFIG" else arg for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_git_limit_command(capsys, conic_file):
     code, out, _ = run(capsys, ["git", "limit", conic_file, "--lps", "1,0,0"])
     assert code == 0
@@ -332,6 +353,9 @@ def test_hypersurface_duality_command(capsys, monkeypatch):
     code, out, _ = run(capsys, argv)
     assert code == 0 and "pass: true" in out and "seed: 42" in out
     assert "rational samples: 46" in out and "nonzero residuals: 0" in out
+    code, out, _ = run(capsys, argv + ["--json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["rationalSamples"] == 46 and payload["samples"] == 100
 
     original = hypersurfaces_mod.gauss_image
 

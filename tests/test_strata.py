@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sixpoint import strata
 from sixpoint.exact import RationalMatrix, echelon
 from sixpoint.stability import (
     PointConfiguration,
@@ -35,6 +36,30 @@ def label_of(config):
     return classify_stratum(
         stratum_signature(config), stability_status(config, W)
     )
+
+
+@pytest.fixture
+def limit_spy(monkeypatch):
+    """One entry per limit the degeneration evaluates: whether it moved."""
+    moved = []
+    real = strata.one_parameter_limit
+
+    def spy(config, subgroup):
+        limit = real(config, subgroup)
+        moved.append(limit != config)
+        return limit
+
+    monkeypatch.setattr(strata, "one_parameter_limit", spy)
+    return moved
+
+
+def degenerate_within_bound(config, moved):
+    """Degenerate, asserting the proved bound: at most three limits
+    evaluated, at most two of them advancing."""
+    moved.clear()
+    result = polystable_degeneration(config)
+    assert len(moved) <= 3 and sum(moved) <= 2, config
+    return result, (len(moved), sum(moved))
 
 
 def test_signature_of_three_doubled_vertices():
@@ -89,16 +114,16 @@ def test_closed_strata_are_fixed_by_degeneration():
         assert closed == config
 
 
-def test_degeneration_label_is_a_projective_invariant():
+def test_degeneration_label_is_a_projective_invariant(limit_spy):
     rng = random.Random(11)
     for label in ("II", "V", "VIII", "X"):
         config = stratum_representative(label)
-        _, reference = polystable_degeneration(config)
+        (_, reference), _ = degenerate_within_bound(config, limit_spy)
         for _ in range(3):
             g = random_transformation(rng, 2)
             moved = apply_transformation(g, config)
             assert label_of(moved) == label
-            _, target = polystable_degeneration(moved)
+            (_, target), _ = degenerate_within_bound(moved, limit_spy)
             assert target == reference
 
 
@@ -280,10 +305,11 @@ CENSUS_CODES = {"Unstable": "U", "Stable": "S"}
 CENSUS_CODES.update({label: chr(ord("a") + i) for i, label in enumerate(STRATUM_LABELS)})
 
 
-def test_census_grid_slice_matches_recorded_answers():
+def test_census_grid_slice_matches_recorded_answers(limit_spy):
     # every 16th six-point multiset of the 13 points of {-1,0,1}^3 up to
     # sign; the recorded code per multiset is label, stabilizer dimension
-    # and conic answer, and the label agrees with the decision-chain oracle
+    # and conic answer, and the label agrees with the decision-chain oracle;
+    # every degeneration keeps the bound of three limits, two advancing
     grid = [
         v
         for v in itertools.product((-1, 0, 1), repeat=3)
@@ -292,6 +318,7 @@ def test_census_grid_slice_matches_recorded_answers():
     answers = "".join(CENSUS_ANSWERS.read_text(encoding="ascii").split())
     multisets = itertools.combinations_with_replacement(grid, 6)
     checked = 0
+    worst = (0, 0)
     for index, points in itertools.islice(enumerate(multisets), 0, None, 16):
         config = PointConfiguration(2, points)
         verdict = stability_status(config, W)
@@ -301,11 +328,13 @@ def test_census_grid_slice_matches_recorded_answers():
         code = f"{CENSUS_CODES[label]}{stabilizer_dimension(config)}{int(lies_on_conic(config))}"
         assert code == answers[3 * index : 3 * index + 3], points
         if verdict.status == Status.STRICTLY_SEMISTABLE:
-            closed, target = polystable_degeneration(config)
+            (closed, target), cost = degenerate_within_bound(config, limit_spy)
+            worst = max(worst, cost)
             assert target == STRATUM_CLOSED_ORBIT[label], points
             assert label_of(closed) == target, points
         checked += 1
     assert len(grid) == 13 and len(answers) == 3 * 18564 and checked == 1161
+    assert worst == (3, 2)
 
 
 def assert_lookup_matches_chain(config):
