@@ -1,7 +1,10 @@
 """Command line front end.
 
 Subcommands: ``divisor``, ``git``, ``hypersurface``, ``m2``,
-``paper-report``.  Exit codes: 0 on success, 1 when a verification fails
+``paper-report``.  Each action of ``divisor``, ``git`` and ``hypersurface``
+has its own argparse parser that declares exactly the flags the action
+reads, so ``sixpoint <command> <action> -h`` lists them and argparse rejects
+any other flag.  Exit codes: 0 on success, 1 when a verification fails
 (the report battery or the duality sampler), 2 on usage or parse errors, so
 the report doubles as a CI gate.  Identical invocations produce
 byte-identical output; every rational is rendered exactly as ``p/q``.
@@ -15,7 +18,8 @@ Divisor expression grammar (whitespace-insensitive)::
 
 A bare coefficient is only allowed when it is zero (the zero divisor); the
 '*' between a coefficient and its symbol is optional.  ``DA`` is the
-quotient polarization and needs n = 6.
+quotient polarization and needs n = 6.  An expression that starts with a
+minus is passed as ``--expr=-K``: argparse reads ``--expr -K`` as two flags.
 
 Configuration file format: one point per line, d+1 whitespace-separated
 rationals (``p/q`` or integers); ``#`` starts a comment; blank lines are
@@ -75,23 +79,17 @@ class CLIError(Exception):
     """Input that cannot be parsed or violates a precondition."""
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<sym>B\d+|K|psi|DA)|(?P<op>[+\-*]))")
+# one signed term, every part optional; parse_divisor_expression decides
+# which combinations of the parts are terms
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-])?\s*(?:(?P<coef>\d+(?:/\d+)?)\s*(?P<star>\*)?\s*)?"
+    r"(?P<symbol>B\d+|K|psi|DA)?\s*"
+)
 
 
 def parse_divisor_expression(text: str, n: int = 6) -> SymmetricDivisor:
     """Parse the divisor mini-language into a symmetric divisor."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise CLIError(f"parse error at position {pos}: unexpected {text[pos:].strip()[:1]!r}")
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    if not tokens:
+    if not text.strip():
         raise CLIError("empty divisor expression")
 
     def symbol_divisor(name: str, at: int) -> SymmetricDivisor:
@@ -111,43 +109,28 @@ def parse_divisor_expression(text: str, n: int = 6) -> SymmetricDivisor:
         return boundary(n, index)
 
     total = SymmetricDivisor(n)
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = Fraction(1)
-        kind, value, at = tokens[i]
-        if kind == "op" and value in "+-":
-            if value == "-":
-                sign = -sign
-            i += 1
-        elif not first:
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        sign, coef, star, symbol = m.group("sign", "coef", "star", "symbol")
+        if coef is None and symbol is None:
+            # a term ends in whitespace it consumed, so only a sign can reach the end
+            if m.end() == len(text):
+                raise CLIError("parse error: dangling sign at end of expression")
+            raise CLIError(f"parse error at position {m.end()}: unexpected {text[m.end()]!r}")
+        at = m.start("coef" if coef is not None else "symbol")
+        if sign is None and pos > 0:
             raise CLIError(f"parse error at position {at}: expected '+' or '-'")
-        first = False
-        if i >= len(tokens):
-            raise CLIError("parse error: dangling sign at end of expression")
-        kind, value, at = tokens[i]
-        coef = None
-        if kind == "num":
-            coef = parse_rational(value)
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "sym":
-                    raise CLIError(f"parse error at position {at}: '*' without a symbol")
-        if i < len(tokens) and tokens[i][0] == "sym":
-            kind, value, at = tokens[i]
-            term = symbol_divisor(value, at)
-            i += 1
-        elif coef is not None:
-            if coef != 0:
-                raise CLIError(
-                    f"parse error at position {at}: bare constant {value} "
-                    "(only the zero divisor may be written without a symbol)"
-                )
-            term = SymmetricDivisor(n)
-        else:
-            raise CLIError(f"parse error at position {at}: expected a term")
-        total = total + (sign * (coef if coef is not None else 1)) * term
+        value = Fraction(1) if coef is None else parse_rational(coef)
+        if symbol is not None:
+            term = symbol_divisor(symbol, m.start("symbol"))
+            total = total + (-value if sign == "-" else value) * term
+        elif star is not None or value != 0:
+            raise CLIError(
+                f"parse error at position {at}: {coef}{star or ''} needs a symbol"
+                " (only the zero divisor is written without one)"
+            )
+        pos = m.end()
     return total
 
 
@@ -201,12 +184,8 @@ def _parse_curve(text: str) -> FCurve | CCurve:
 
 
 def _load_weights(args, config: PointConfiguration) -> WeightVector:
-    if args.weights is not None and args.weights_file is not None:
-        raise CLIError("give --weights or --weights-file, not both")
-    text = None
-    if args.weights is not None:
-        text = args.weights
-    elif args.weights_file is not None:
+    text = args.weights
+    if args.weights_file is not None:
         text = _read_file(args.weights_file)
         text = " ".join(
             line.split("#", 1)[0] for line in text.splitlines()
@@ -249,51 +228,37 @@ def _divisor_payload(div: SymmetricDivisor) -> dict:
 def _cmd_divisor(args) -> int:
     div = parse_divisor_expression(args.expr, args.n)
     if args.action == "eval":
-        payload = _divisor_payload(div)
         lines = [f"n: {div.n}", f"D = {div}"] + [
             f"B{i}: {div.coefficient(i)}" for i in range(2, div.n // 2 + 1)
         ]
-        _emit(args, lines, payload)
-        return 0
-    if args.action == "intersect":
-        if not args.curve:
-            raise CLIError("intersect needs --curve (F:a,b,c,d or C:j)")
+        payload = _divisor_payload(div)
+    elif args.action == "intersect":
         curve = _parse_curve(args.curve)
         if isinstance(curve, FCurve):
             value = intersect_f_curve(div, curve)
         else:
             value = intersect_c_curve(div, curve)
-        _emit(
-            args,
-            [f"D = {div}", f"curve: {curve}", f"intersection: {value}"],
-            {"divisor": str(div), "curve": str(curve), "intersection": str(value)},
-        )
-        return 0
-    if args.action == "chamber":
+        lines = [f"D = {div}", f"curve: {curve}", f"intersection: {value}"]
+        payload = {"divisor": str(div), "curve": str(curve), "intersection": str(value)}
+    elif args.action == "chamber":
         rep = mori_model(div)
-        _emit(
-            args,
-            [
-                f"D = {div}",
-                f"model: {rep.model.value}",
-                f"stable base locus: {rep.stable_base_locus.value}",
-                f"wall: {str(rep.boundary_case).lower()}",
-            ],
-            {
-                "divisor": str(div),
-                "model": rep.model.value,
-                "stableBaseLocus": rep.stable_base_locus.value,
-                "boundaryCase": rep.boundary_case,
-            },
-        )
-        return 0
-    # baselocus
-    locus = stable_base_locus(div)
-    _emit(
-        args,
-        [f"D = {div}", f"stable base locus: {locus.value}"],
-        {"divisor": str(div), "stableBaseLocus": locus.value},
-    )
+        lines = [
+            f"D = {div}",
+            f"model: {rep.model.value}",
+            f"stable base locus: {rep.stable_base_locus.value}",
+            f"wall: {str(rep.boundary_case).lower()}",
+        ]
+        payload = {
+            "divisor": str(div),
+            "model": rep.model.value,
+            "stableBaseLocus": rep.stable_base_locus.value,
+            "boundaryCase": rep.boundary_case,
+        }
+    else:  # baselocus
+        locus = stable_base_locus(div)
+        lines = [f"D = {div}", f"stable base locus: {locus.value}"]
+        payload = {"divisor": str(div), "stableBaseLocus": locus.value}
+    _emit(args, lines, payload)
     return 0
 
 
@@ -386,8 +351,6 @@ def _cmd_git(args) -> int:
         )
         return 0
     if args.action == "limit":
-        if not args.lps:
-            raise CLIError("limit needs --lps w0,w1,... (diagonal subgroup weights)")
         try:
             weights = [int(w) for w in args.lps.split(",")]
             subgroup = OneParameterSubgroup(weights)
@@ -427,12 +390,12 @@ _SURFACES = {"segre": Hypersurface.SEGRE_CUBIC, "igusa": Hypersurface.IGUSA_QUAR
 
 def _cmd_hypersurface(args) -> int:
     if args.action in ("eval", "singular"):
-        if not args.surface or not args.point:
-            raise CLIError(f"{args.action} needs --surface and --point")
         surface = _SURFACES[args.surface]
         coords = _parse_csv_rationals(args.point, "point")
         if len(coords) != 6:
             raise CLIError(f"point needs 6 coordinates, got {len(coords)}")
+        if not any(coords):
+            raise CLIError("zero vector is not a projective point")
         if args.action == "eval":
             linear, form = evaluate(surface, coords)
             _emit(
@@ -623,78 +586,77 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_div = sub.add_parser("divisor", help="divisor-class arithmetic and chamber lookup")
-    p_div.add_argument("action", choices=("eval", "intersect", "chamber", "baselocus"))
-    p_div.add_argument("--expr", required=True, help="divisor expression, e.g. 'K + 1/3*psi'")
-    p_div.add_argument("--n", type=int, default=6, help="number of marked points (default 6)")
-    p_div.add_argument("--curve", help="curve for intersect: F:a,b,c,d or C:j")
-    p_div.add_argument("--json", action="store_true")
-
-    p_git = sub.add_parser("git", help="stability of weighted point configurations")
-    p_git.add_argument("action", choices=("stability", "stratum", "limit", "degenerate", "conic"))
-    p_git.add_argument("config", help="configuration file, one point per line")
-    p_git.add_argument("--dim", type=int, default=2, help="ambient projective dimension (default 2)")
-    p_git.add_argument(
-        "--weights", help="comma-separated weights for stability and stratum (default symmetric)"
+    # each action gets its own parser, declaring exactly the flags it reads;
+    # these parents hold the flags that several actions share
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    expr = argparse.ArgumentParser(add_help=False, parents=[as_json])
+    expr.add_argument(
+        "--expr",
+        required=True,
+        help="divisor expression, e.g. 'K + 1/3*psi'; write one that starts "
+        "with a minus as --expr=-K",
     )
-    p_git.add_argument("--weights-file", help="file holding comma-separated weights")
-    p_git.add_argument("--lps", help="diagonal subgroup weights for 'limit', e.g. 2,-1,-1")
-    p_git.add_argument("--json", action="store_true")
+    expr.add_argument("--n", type=int, default=6, help="number of marked points (default 6)")
+    config = argparse.ArgumentParser(add_help=False, parents=[as_json])
+    config.add_argument("config", help="configuration file, one point per line")
+    config.add_argument("--dim", type=int, default=2, help="ambient projective dimension (default 2)")
 
-    p_hyp = sub.add_parser("hypersurface", help="cubic and quartic threefold checks")
-    p_hyp.add_argument("action", choices=("eval", "singular", "lines", "nodes", "duality"))
-    p_hyp.add_argument("--surface", choices=sorted(_SURFACES))
-    p_hyp.add_argument("--point", help="six comma-separated rational coordinates")
-    p_hyp.add_argument("--samples", type=_positive_int, default=100)
-    p_hyp.add_argument("--seed", type=int, default=0)
-    p_hyp.add_argument("--json", action="store_true")
+    def actions(command: str, summary: str, run, parent, *names: str) -> dict:
+        command_parser = sub.add_parser(command, help=summary)
+        command_parser.set_defaults(run=run)
+        action_parsers = command_parser.add_subparsers(dest="action", required=True)
+        return {name: action_parsers.add_parser(name, parents=[parent]) for name in names}
 
-    p_m2 = sub.add_parser("m2", help="genus-two divisor bridge and chamber lookup")
+    div = actions(
+        "divisor", "divisor-class arithmetic and chamber lookup", _cmd_divisor, expr,
+        "eval", "intersect", "chamber", "baselocus",
+    )
+    div["intersect"].add_argument("--curve", required=True, help="F:a,b,c,d or C:j")
+
+    git = actions(
+        "git", "stability of weighted point configurations", _cmd_git, config,
+        "stability", "stratum", "limit", "degenerate", "conic",
+    )
+    for name in ("stability", "stratum"):
+        weights = git[name].add_mutually_exclusive_group()
+        weights.add_argument("--weights", help="comma-separated weights (default symmetric)")
+        weights.add_argument("--weights-file", help="file holding comma-separated weights")
+    git["limit"].add_argument("--lps", required=True, help="diagonal subgroup weights, e.g. 2,-1,-1")
+
+    hyp = actions(
+        "hypersurface", "cubic and quartic threefold checks", _cmd_hypersurface, as_json,
+        "eval", "singular", "lines", "nodes", "duality",
+    )
+    for name in ("eval", "singular"):
+        hyp[name].add_argument("--surface", required=True, choices=sorted(_SURFACES))
+        hyp[name].add_argument("--point", required=True, help="six comma-separated rational coordinates")
+    hyp["duality"].add_argument("--samples", type=_positive_int, default=100)
+    hyp["duality"].add_argument("--seed", type=int, default=0)
+
+    p_m2 = sub.add_parser("m2", help="genus-two divisor bridge and chamber lookup", parents=[as_json])
+    p_m2.set_defaults(run=_cmd_m2)
     p_m2.add_argument("--alpha", help="log-canonical slice parameter p/q")
     p_m2.add_argument("--lambda", dest="lam", help="Hodge class coefficient p/q")
     p_m2.add_argument("--delta0", help="stack boundary coefficient p/q")
     p_m2.add_argument("--delta1", help="stack boundary coefficient p/q")
     p_m2.add_argument("--Delta0", help="coarse boundary coefficient p/q")
     p_m2.add_argument("--Delta1", help="coarse boundary coefficient p/q")
-    p_m2.add_argument("--json", action="store_true")
 
-    p_rep = sub.add_parser("paper-report", help="run the full battery of golden checks")
+    p_rep = sub.add_parser(
+        "paper-report", help="run the full battery of golden checks", parents=[as_json]
+    )
+    p_rep.set_defaults(run=_cmd_paper_report)
     p_rep.add_argument("--samples", type=_positive_int, default=60, help="duality sample count")
     p_rep.add_argument("--seed", type=int, default=7)
-    p_rep.add_argument("--json", action="store_true")
 
     return parser
 
 
-# optional flag groups (by argparse dest) and the actions that read them;
-# any other action of the command exits 2 when given one of them
-_FLAG_READERS = {
-    "divisor": {("curve",): ("intersect",)},
-    "git": {("weights", "weights_file"): ("stability", "stratum"), ("lps",): ("limit",)},
-    "hypersurface": {("surface", "point"): ("eval", "singular")},
-}
-
-
-def _reject_unread_flags(args) -> None:
-    for dests, readers in _FLAG_READERS.get(args.command, {}).items():
-        if args.action not in readers and any(getattr(args, d) is not None for d in dests):
-            flags = " or ".join("--" + d.replace("_", "-") for d in dests)
-            raise CLIError(f"{args.command} {args.action} takes no {flags}")
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    dispatch = {
-        "divisor": _cmd_divisor,
-        "git": _cmd_git,
-        "hypersurface": _cmd_hypersurface,
-        "m2": _cmd_m2,
-        "paper-report": _cmd_paper_report,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        _reject_unread_flags(args)
-        return dispatch[args.command](args)
+        return args.run(args)
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -228,24 +228,13 @@ def intersect_f_curve(div: SymmetricDivisor, curve: FCurve) -> Fraction:
 def intersect_c_curve(div: SymmetricDivisor, curve: CCurve) -> Fraction:
     """Exact intersection number of a symmetric divisor with C_j.
 
-    Against the unfolded boundary, C_j . B_i is j for i = j-1, -(j-2) for
-    i = j and 0 otherwise.  Because B_i = B_{n-i}, both unfolded slots of a
-    class contribute (they coincide only when n = 2j or n = 2j-2 edge
-    cases, handled by the dedup below).
+    With r as in ``intersect_f_curve``: C_j . D = j r_{j-1} - (j-2) r_j.
     """
     n, j = div.n, curve.j
     if not 2 <= j <= n - 2:
         raise ValueError(f"curve index {j} out of range 2..{n - 2}")
-    total = Fraction(0)
-    for k in range(2, n // 2 + 1):
-        weight = 0
-        for i in {k, n - k}:
-            if i == j - 1:
-                weight += j
-            if i == j:
-                weight -= j - 2
-        total += div.coefficient(k) * weight
-    return total
+    r = lambda k: _folded_coefficient(div, k)
+    return j * r(j - 1) - (j - 2) * r(j)
 
 
 def four_part_partitions(n: int) -> Iterator[tuple[int, int, int, int]]:

@@ -1,22 +1,39 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sixpoint
 from sixpoint import cli
 from sixpoint.cli import CLIError, parse_divisor_expression, parse_points_text
-from sixpoint.divisors import SymmetricDivisor, boundary, canonical_divisor
+from sixpoint.divisors import (
+    SymmetricDivisor,
+    boundary,
+    canonical_divisor,
+    canonical_polarization,
+    psi_divisor,
+)
+from sixpoint.exact import parse_rational
 
 
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(capsys, argv):
+    """Exit code, stdout and last stderr line of an argparse rejection."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err.splitlines()[-1]
 
 
 STRATUM_I = """# three doubled coordinate vertices
@@ -74,6 +91,120 @@ def test_expression_parse_errors():
         parse_divisor_expression("DA", n=5)
 
 
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<sym>B\d+|K|psi|DA)|(?P<op>[+\-*]))")
+
+
+def parse_by_token_walk(text: str, n: int = 6) -> SymmetricDivisor:
+    """Reference for ``parse_divisor_expression``: lex the whole text into
+    number, symbol and operator tokens first, then walk the token list."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise CLIError(f"parse error at position {pos}: unexpected {text[pos:].strip()[:1]!r}")
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    if not tokens:
+        raise CLIError("empty divisor expression")
+
+    def symbol_divisor(name: str, at: int) -> SymmetricDivisor:
+        if name == "K":
+            return canonical_divisor(n)
+        if name == "psi":
+            return psi_divisor(n)
+        if name == "DA":
+            if n != 6:
+                raise CLIError(f"parse error at position {at}: DA needs n=6, got n={n}")
+            return canonical_polarization()
+        index = int(name[1:])
+        if not 2 <= index <= n - 2:
+            raise CLIError(f"parse error at position {at}: B{index} out of range 2..{n - 2}")
+        return boundary(n, index)
+
+    total = SymmetricDivisor(n)
+    i = 0
+    first = True
+    while i < len(tokens):
+        sign = Fraction(1)
+        kind, value, at = tokens[i]
+        if kind == "op" and value in "+-":
+            if value == "-":
+                sign = -sign
+            i += 1
+        elif not first:
+            raise CLIError(f"parse error at position {at}: expected '+' or '-'")
+        first = False
+        if i >= len(tokens):
+            raise CLIError("parse error: dangling sign at end of expression")
+        kind, value, at = tokens[i]
+        coef = None
+        if kind == "num":
+            coef = parse_rational(value)
+            i += 1
+            if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
+                i += 1
+                if i >= len(tokens) or tokens[i][0] != "sym":
+                    raise CLIError(f"parse error at position {at}: '*' without a symbol")
+        if i < len(tokens) and tokens[i][0] == "sym":
+            kind, value, at = tokens[i]
+            term = symbol_divisor(value, at)
+            i += 1
+        elif coef is not None:
+            if coef != 0:
+                raise CLIError(f"parse error at position {at}: bare constant {value}")
+            term = SymmetricDivisor(n)
+        else:
+            raise CLIError(f"parse error at position {at}: expected a term")
+        total = total + (sign * (coef if coef is not None else 1)) * term
+    return total
+
+
+def _parse_outcome(parse, text, n):
+    try:
+        return parse(text, n)
+    except (CLIError, ValueError):  # both exit 2 on the command line
+        return "rejected"
+
+
+_EXPRESSION_PIECES = (
+    "0", "1", "2", "3", "10", "/", " ", "\t", "B", "B1", "B2", "B3", "B4", "B9",
+    "K", "psi", "ps", "DA", "+", "-", "*", "Q",
+)
+
+
+# near-terms: each part of a signed term present or not, so that a good share
+# of the strings parse
+_NEAR_TERM = st.tuples(
+    st.sampled_from(("", "+", "-", " - ")),
+    st.sampled_from(("", "0", "2", "1/3", "0/5", "2/0")),
+    st.sampled_from(("", "*", " * ")),
+    st.sampled_from(("", "B2", "B3", "B4", "B9", "K", "psi", "DA")),
+    st.sampled_from(("", " ")),
+).map("".join)
+
+
+@settings(deadline=None, max_examples=600)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_EXPRESSION_PIECES), max_size=10),
+        st.lists(_NEAR_TERM, max_size=4),
+    ).map("".join),
+    st.sampled_from((5, 6, 8)),
+)
+@example("-9/2*K - 1/2*psi", 6)
+@example(" 2/5 * B2 + 1/5 B3 ", 6)
+@example("0 - 0*K + 3B3", 8)
+@example("2/0Q", 6)
+def test_expression_parser_matches_the_token_walk(text, n):
+    assert _parse_outcome(parse_divisor_expression, text, n) == _parse_outcome(
+        parse_by_token_walk, text, n
+    )
+
+
 def test_points_text_parser():
     config = parse_points_text("1 0 0\n# comment\n\n1/2 1/2 0\n", dim=2)
     assert config.points == ((1, 0, 0), (1, 1, 0))
@@ -118,8 +249,9 @@ def test_divisor_intersect_command(capsys):
         capsys, ["divisor", "intersect", "--expr", "B2", "--curve", "C:4", "--json"]
     )
     assert code == 0 and json.loads(out)["intersection"] == "-2"
-    code, _, err = run(capsys, ["divisor", "intersect", "--expr", "B2"])
-    assert code == 2 and "curve" in err
+    assert usage_error(capsys, ["divisor", "intersect", "--expr", "B2"]) == (
+        2, "", "sixpoint divisor intersect: error: the following arguments are required: --curve"
+    )
 
 
 def test_divisor_chamber_command(capsys):
@@ -129,6 +261,10 @@ def test_divisor_chamber_command(capsys):
     code, out, _ = run(capsys, ["divisor", "chamber", "--expr", "K", "--json"])
     assert code == 0
     assert json.loads(out)["model"] == "OutsideEffectiveCone"
+    # argparse reads "--expr -K" as two flags; a leading minus needs the = form
+    code, out, _ = run(capsys, ["divisor", "chamber", "--expr=-K"])
+    assert code == 0
+    assert "model: IgusaQuartic" in out and "wall: true" in out
 
 
 def test_divisor_baselocus_command(capsys):
@@ -167,12 +303,15 @@ def test_git_stability_weights_file(capsys, stratum_file, tmp_path):
         capsys, ["git", "stability", stratum_file, "--weights-file", str(weights)]
     )
     assert code == 0 and "status: StrictlySemistable" in out
-    code, _, err = run(
+    assert usage_error(
         capsys,
         ["git", "stability", stratum_file, "--weights", "1/2,1/2,1/2,1/2,1/2,1/2",
          "--weights-file", str(weights)],
+    ) == (
+        2,
+        "",
+        "sixpoint git stability: error: argument --weights-file: not allowed with argument --weights",
     )
-    assert code == 2 and "not both" in err
     code, _, err = run(capsys, ["git", "stability", stratum_file, "--weights", ""])
     assert code == 2 and err == "error: weights: empty list\n"
 
@@ -224,13 +363,13 @@ def test_git_actions_without_weights_reject_weight_flags(capsys, stratum_file, t
     for action, *rest in (["limit", "--lps", "1,0,0"], ["degenerate"], ["conic"]):
         for flag, value in (("--weights", "1/2,1/2,1/2,1/2,1/2,1/2"), ("--weights-file", weights)):
             argv = ["git", action, stratum_file, *rest, flag, str(value)]
-            code, out, err = run(capsys, argv)
-            assert code == 2 and out == "", argv
-            assert err == f"error: git {action} takes no --weights or --weights-file\n"
+            assert usage_error(capsys, argv) == (
+                2, "", f"sixpoint: error: unrecognized arguments: {flag} {value}"
+            ), argv
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, case",
     [
         (["hypersurface", "lines", "--surface", "segre", "--point", "1,2"],
          "hypersurface lines takes no --surface or --point"),
@@ -242,12 +381,24 @@ def test_git_actions_without_weights_reject_weight_flags(capsys, stratum_file, t
          "divisor chamber takes no --curve"),
         (["git", "stability", "CONFIG", "--lps", "1,0,0"], "git stability takes no --lps"),
         (["git", "degenerate", "CONFIG", "--lps", "1,0,0"], "git degenerate takes no --lps"),
+        (["hypersurface", "nodes", "--samples", "5", "--seed", "3"],
+         "hypersurface nodes takes no --samples or --seed"),
+        (["hypersurface", "lines", "--seed", "3"], "hypersurface lines takes no --seed"),
+        (["hypersurface", "eval", "--surface", "igusa", "--point", "1,1,1,-1,-1,-1",
+          "--samples", "5"], "hypersurface eval takes no --samples"),
+        (["hypersurface", "singular", "--surface", "segre", "--point", "1,1,1,-1,-1,-1",
+          "--seed", "3", "--samples", "5"], "hypersurface singular takes no --seed or --samples"),
     ],
 )
-def test_actions_reject_flags_they_do_not_read(capsys, stratum_file, argv, message):
+def test_actions_reject_flags_they_do_not_read(capsys, stratum_file, argv, case):
+    # the flags a case names come last in its argv, and argparse leaves
+    # them and their values unrecognized
     argv = [stratum_file if arg == "CONFIG" else arg for arg in argv]
-    code, out, err = run(capsys, argv)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    named = case.split(" takes no ")[1].split(" or ")
+    unread = argv[next(i for i, arg in enumerate(argv) if arg in named):]
+    assert usage_error(capsys, argv) == (
+        2, "", "sixpoint: error: unrecognized arguments: " + " ".join(unread)
+    )
 
 
 def test_git_limit_command(capsys, conic_file):
@@ -256,8 +407,9 @@ def test_git_limit_command(capsys, conic_file):
     lines = out.strip().splitlines()
     assert lines[1] == "1 0 0"
     assert lines[2] == "0 1 1"
-    code, _, err = run(capsys, ["git", "limit", conic_file])
-    assert code == 2 and "--lps" in err
+    assert usage_error(capsys, ["git", "limit", conic_file]) == (
+        2, "", "sixpoint git limit: error: the following arguments are required: --lps"
+    )
     code, _, err = run(capsys, ["git", "limit", conic_file, "--lps", "1,1,1"])
     assert code == 2
 
@@ -323,13 +475,14 @@ def test_hypersurface_singular_command(capsys):
 
 
 def test_hypersurface_singular_rejects_the_zero_vector(capsys):
-    for surface in ("segre", "igusa"):
-        code, out, err = run(
-            capsys,
-            ["hypersurface", "singular", "--surface", surface, "--point", "0,0,0,0,0,0"],
-        )
-        assert code == 2 and out == ""
-        assert "zero vector is not a projective point" in err
+    for action in ("singular", "eval"):
+        for surface in ("segre", "igusa"):
+            code, out, err = run(
+                capsys,
+                ["hypersurface", action, "--surface", surface, "--point", "0,0,0,0,0,0"],
+            )
+            assert code == 2 and out == ""
+            assert "zero vector is not a projective point" in err
 
 
 def test_hypersurface_lines_command(capsys):

@@ -109,6 +109,34 @@ def test_c_curve_folded_slots_can_both_contribute():
     assert intersect_f_curve(boundary(5, 2), FCurve((1, 1, 1, 2))) == 2
 
 
+def c_curve_by_unfolded_slots(div, j):
+    """Reference for ``intersect_c_curve``: against the unfolded boundary,
+    C_j . B_i is j for i = j-1, -(j-2) for i = j and 0 otherwise, and both
+    unfolded slots {k, n-k} of a class contribute (once when k = n-k)."""
+    n = div.n
+    total = Fraction(0)
+    for k in range(2, n // 2 + 1):
+        weight = 0
+        for i in {k, n - k}:
+            if i == j - 1:
+                weight += j
+            if i == j:
+                weight -= j - 2
+        total += div.coefficient(k) * weight
+    return total
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_c_curve_closed_form_matches_the_unfolded_slots(data):
+    n = data.draw(st.integers(4, 14))
+    coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    coefficients = data.draw(st.lists(coefficient, min_size=n // 2 - 1, max_size=n // 2 - 1))
+    div = SymmetricDivisor(n, dict(zip(range(2, n // 2 + 1), coefficients)))
+    for j in range(2, n - 1):
+        assert intersect_c_curve(div, CCurve(j)) == c_curve_by_unfolded_slots(div, j)
+
+
 def test_intersection_input_validation():
     with pytest.raises(ValueError):
         intersect_f_curve(K(), FCurve((1, 1, 1, 2)))
