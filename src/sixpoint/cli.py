@@ -606,7 +606,10 @@ def _build_parser() -> argparse.ArgumentParser:
         command_parser = sub.add_parser(command, help=summary)
         command_parser.set_defaults(run=run)
         action_parsers = command_parser.add_subparsers(dest="action", required=True)
-        return {name: action_parsers.add_parser(name, parents=[parent]) for name in names}
+        parsers = {name: action_parsers.add_parser(name, parents=[parent]) for name in names}
+        for action_parser in parsers.values():
+            action_parser.set_defaults(leaf=action_parser)
+        return parsers
 
     div = actions(
         "divisor", "divisor-class arithmetic and chamber lookup", _cmd_divisor, expr,
@@ -635,7 +638,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hyp["duality"].add_argument("--seed", type=int, default=0)
 
     p_m2 = sub.add_parser("m2", help="genus-two divisor bridge and chamber lookup", parents=[as_json])
-    p_m2.set_defaults(run=_cmd_m2)
+    p_m2.set_defaults(run=_cmd_m2, leaf=p_m2)
     p_m2.add_argument("--alpha", help="log-canonical slice parameter p/q")
     p_m2.add_argument("--lambda", dest="lam", help="Hodge class coefficient p/q")
     p_m2.add_argument("--delta0", help="stack boundary coefficient p/q")
@@ -646,15 +649,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser(
         "paper-report", help="run the full battery of golden checks", parents=[as_json]
     )
-    p_rep.set_defaults(run=_cmd_paper_report)
+    p_rep.set_defaults(run=_cmd_paper_report, leaf=p_rep)
     p_rep.add_argument("--samples", type=_positive_int, default=60, help="duality sample count")
     p_rep.add_argument("--seed", type=int, default=7)
 
     return parser
 
 
+def _flag_order_hint(args, unread: list[str]) -> str:
+    """A hint when every unrecognized token is a flag of the chosen action
+    (or command): argparse leaves such a flag unread when it comes first."""
+    declared = args.leaf._option_string_actions
+    if not all(token.split("=", 1)[0] in declared for token in unread):
+        return ""
+    where = "action" if getattr(args, "action", None) else "command"
+    return f" (flags go after the {where}: {args.leaf.prog} {' '.join(unread)} ...)"
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    # parse_args with a hint added to its unrecognized-arguments error
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        parser.error(f"unrecognized arguments: {' '.join(unread)}" + _flag_order_hint(args, unread))
     try:
         return args.run(args)
     except (CLIError, ValueError) as exc:

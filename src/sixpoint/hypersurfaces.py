@@ -16,7 +16,8 @@ Exact operations take rational coordinates.  The singularity test scales
 the point to integers and compares the gradient entries; sampled cubic
 points are built as integers throughout.  The duality sampler's irrational
 points have coordinates a + b sqrt(D) with integers a, b, and are decided
-exactly too.
+exactly too; every intermediate value that is rational (the power sums, the
+linear form, the residual) is a plain int.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ def evaluate(surface: Hypersurface, coords: Sequence) -> tuple:
     linear = sum(coords)
     if surface == Hypersurface.SEGRE_CUBIC:
         return linear, sum(x**3 for x in coords)
-    p2 = sum(x * x for x in coords)
-    p4 = sum(x**4 for x in coords)
+    squares = [x * x for x in coords]
+    p2 = sum(squares)
+    p4 = sum(q * q for q in squares)
     return linear, p2 * p2 - 4 * p4
 
 
@@ -233,48 +235,64 @@ def gauss_image(coords: Sequence) -> tuple:
     At a node the gradient is proportional to the all-ones vector and the
     image collapses to zero; callers treat that as "no tangent direction".
     """
-    p2 = sum(x * x for x in coords)
-    return tuple(6 * x * x - p2 for x in coords)
+    squares = [x * x for x in coords]
+    p2 = sum(squares)
+    return tuple(6 * q - p2 for q in squares)
+
+
+def _surd(a: int, b: int, d: int) -> "int | _Surd":
+    """a + b sqrt(d), as the plain int a when b is 0."""
+    return a if b == 0 else _Surd(a, b, d)
 
 
 class _Surd:
     """The number a + b sqrt(d) for integers a, b and a fixed d > 0 that is
-    not a square, so that it is zero exactly when a = b = 0."""
+    not a square, so that it is zero exactly when a = b = 0.
+
+    The other operand is an int or a _Surd with the same d.  Every result
+    passes through :func:`_surd`, so a value whose sqrt(d) part cancels is a
+    plain int again and the arithmetic after it is int arithmetic.
+    """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: int, b: int, d: int):
         self.a, self.b, self.d = a, b, d
 
-    def _parts(self, other) -> tuple:
-        return (other.a, other.b) if isinstance(other, _Surd) else (other, 0)
+    def __neg__(self):
+        return _surd(-self.a, -self.b, self.d)
 
-    def __add__(self, other) -> "_Surd":
-        a, b = self._parts(other)
-        return _Surd(self.a + a, self.b + b, self.d)
+    def __add__(self, other):
+        if type(other) is int:
+            return _surd(self.a + other, self.b, self.d)
+        return _surd(self.a + other.a, self.b + other.b, self.d)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "_Surd":
-        return self + -1 * other
+    def __sub__(self, other):
+        return self + -other
 
-    def __rsub__(self, other) -> "_Surd":
-        return -1 * self + other
+    def __rsub__(self, other):
+        return _surd(other - self.a, -self.b, self.d)
 
-    def __mul__(self, other) -> "_Surd":
-        a, b = self._parts(other)
-        return _Surd(self.a * a + self.b * b * self.d, self.a * b + self.b * a, self.d)
+    def __mul__(self, other):
+        if type(other) is int:
+            return _surd(self.a * other, self.b * other, self.d)
+        a, b = other.a, other.b
+        return _surd(self.a * a + self.b * b * self.d, self.a * b + self.b * a, self.d)
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "_Surd":
-        result = _Surd(1, 0, self.d)
+    def __pow__(self, exponent: int):
+        result = 1
         for _ in range(exponent):
             result = result * self
         return result
 
     def __eq__(self, other) -> bool:
-        return (self.a, self.b) == self._parts(other)
+        if isinstance(other, _Surd):
+            return self.a == other.a and self.b == other.b
+        return self.b == 0 and self.a == other
 
 
 def _sample_point(head: Sequence[int]) -> tuple | None:

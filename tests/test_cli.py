@@ -401,6 +401,29 @@ def test_actions_reject_flags_they_do_not_read(capsys, stratum_file, argv, case)
     )
 
 
+def test_flags_before_the_action_get_a_hint(capsys, stratum_file):
+    # a flag the chosen action reads, put before it, is left unread by
+    # argparse; the error then says where flags go
+    prefix = "sixpoint: error: unrecognized arguments: "
+    cases = [
+        (["git", "--json", "stratum", stratum_file],
+         "--json (flags go after the action: sixpoint git stratum --json ...)"),
+        (["--json", "hypersurface", "duality"],
+         "--json (flags go after the action: sixpoint hypersurface duality --json ...)"),
+        (["git", "--weights=1/2,1/2,1/2,1/2,1/2,1/2", "stratum", stratum_file],
+         "--weights=1/2,1/2,1/2,1/2,1/2,1/2 (flags go after the action: sixpoint git"
+         " stratum --weights=1/2,1/2,1/2,1/2,1/2,1/2 ...)"),
+        (["--json", "paper-report"],
+         "--json (flags go after the command: sixpoint paper-report --json ...)"),
+        # no hint unless every unread token is a flag of the action
+        (["git", "--json", "--bogus", "stratum", stratum_file], "--json --bogus"),
+        (["git", "--json", "limit", stratum_file, "--lps", "1,0,0", "--weights", "1"],
+         "--json --weights 1"),
+    ]
+    for argv, unread in cases:
+        assert usage_error(capsys, argv) == (2, "", prefix + unread), argv
+
+
 def test_git_limit_command(capsys, conic_file):
     code, out, _ = run(capsys, ["git", "limit", conic_file, "--lps", "1,0,0"])
     assert code == 0

@@ -245,6 +245,38 @@ def _parts(value):
     return (value.a, value.b) if isinstance(value, _Surd) else (value, 0)
 
 
+def test_surds_collapse_to_ints_in_the_sampler(monkeypatch):
+    """Rational samples build no _Surd, and an irrational one at most 18:
+    every rational intermediate value (p2, p4, the linear form, the
+    residual) is a plain int."""
+    built = []
+    init = _Surd.__init__
+
+    def counting_init(self, a, b, d):
+        built.append(1)
+        init(self, a, b, d)
+
+    # each sample's count runs from one _sample_point call to the next
+    starts, points = [], []
+    sample_point = hypersurfaces._sample_point
+
+    def recording_sample_point(head):
+        starts.append(len(built))
+        points.append(sample_point(head))
+        return points[-1]
+
+    monkeypatch.setattr(_Surd, "__init__", counting_init)
+    monkeypatch.setattr(hypersurfaces, "_sample_point", recording_sample_point)
+    report = duality_sample_check(250, seed=42)
+    assert report.passed and report.skipped == 0
+    counts = [end - start for start, end in zip(starts, starts[1:] + [len(built)])]
+    irrational = [n for n, point in zip(counts, points) if point and not isinstance(point[-1], int)]
+    rational = [n for n, point in zip(counts, points) if not point or isinstance(point[-1], int)]
+    assert len(irrational) == report.samples - report.exact_samples == 141
+    assert max(irrational) <= 18
+    assert not any(rational)
+
+
 heads = st.lists(st.integers(-40, 40), min_size=4, max_size=4)
 
 
@@ -262,6 +294,44 @@ def test_sampled_points_are_exact_cubic_points_with_quartic_images(head):
     image = gauss_image(point)
     for value in (sum(image),) + evaluate(IGUSA, image):
         assert _parts(value) == (0, 0)
+
+
+def _sympy_value(value):
+    if isinstance(value, _Surd):
+        return value.a + value.b * sympy.sqrt(value.d)
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+def _textbook_forms(point):
+    """The defining forms and the Gauss image, expanded by sympy."""
+    xs = [_sympy_value(x) for x in point]
+    p2 = sum(x**2 for x in xs)
+    forms = {
+        SEGRE: (sum(xs), sum(x**3 for x in xs)),
+        IGUSA: (sum(xs), p2**2 - 4 * sum(x**4 for x in xs)),
+    }
+    return forms, tuple(6 * x**2 - p2 for x in xs)
+
+
+def _same(computed, expected) -> bool:
+    return len(computed) == len(expected) and all(
+        sympy.expand(_sympy_value(c) - e) == 0 for c, e in zip(computed, expected)
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(
+        st.lists(st.integers(-10**6, 10**6), min_size=6, max_size=6),
+        st.lists(st.fractions(-100, 100, max_denominator=50), min_size=6, max_size=6),
+        st.lists(st.integers(-50, 50), min_size=4, max_size=4).map(_sample_point).filter(bool),
+    )
+)
+def test_forms_and_gauss_image_match_textbook_expansions(point):
+    forms, image = _textbook_forms(point)
+    for surface in (SEGRE, IGUSA):
+        assert _same(evaluate(surface, point), forms[surface]), surface
+    assert _same(gauss_image(point), image)
 
 
 def test_sample_point_examples():
@@ -295,3 +365,10 @@ def test_surd_arithmetic_matches_sympy(parts, d, exponent):
     assert agrees(x**exponent, sx**exponent)
     assert (x == y) == (a == c and b == e)
     assert (x == a) == (b == 0)
+    # a result whose sqrt(d) part is zero is a plain int
+    for value in (x * y, x + y, x - y, 3 * x - c, c - x, c + x, x**exponent):
+        assert _parts(value)[1] != 0 or type(value) is int
+    conjugate = _Surd(a, -b, d)
+    for value in (x - x, x * conjugate, x**0, x + -x, (c + x) + (-x), x + (c - x) - c):
+        assert type(value) is int
+    assert x * conjugate == a * a - b * b * d and (c + x) + (-x) == c
