@@ -577,7 +577,7 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sixpoint",
         description="Exact toolkit for symmetric divisors on the six-pointed "
@@ -609,6 +609,10 @@ def _build_parser() -> argparse.ArgumentParser:
         parsers = {name: action_parsers.add_parser(name, parents=[parent]) for name in names}
         for action_parser in parsers.values():
             action_parser.set_defaults(leaf=action_parser)
+        # argparse takes the value of a flag put before the action for the action
+        command_parser.error = lambda message: argparse.ArgumentParser.error(
+            command_parser, message + _value_as_action_hint(argv, parsers, message)
+        )
         return parsers
 
     div = actions(
@@ -666,8 +670,23 @@ def _flag_order_hint(args, unread: list[str]) -> str:
     return f" (flags go after the {where}: {args.leaf.prog} {' '.join(unread)} ...)"
 
 
+def _value_as_action_hint(argv: list[str], actions: dict, message: str) -> str:
+    """The flag-order hint when argparse rejects, as the action, the value
+    of a flag put before it that some action of the command reads."""
+    bad = "argument action: invalid choice: {!r} "
+    k = next((k for k in range(1, len(argv)) if message.startswith(bad.format(argv[k]))), 0)
+    flag = argv[k - 1] if k else ""
+    declared = {name: p._option_string_actions.get(flag) for name, p in actions.items()}
+    readers = [name for name, action in declared.items() if action and action.nargs != 0]
+    if not readers:
+        return ""
+    name = next((token for token in argv[k + 1 : k + 2] if token in readers), readers[0])
+    return f" (flags go after the action: {actions[name].prog} {flag} {argv[k]} ...)"
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     # parse_args with a hint added to its unrecognized-arguments error
     args, unread = parser.parse_known_args(argv)
     if unread:

@@ -1,7 +1,8 @@
 """Exact linear algebra.
 
-Every decision is made by one fraction-free elimination over the integers,
-:func:`echelon`: no floating point, no rounding, arbitrary-precision
+Every rank, span and inverse comes from one fraction-free elimination over
+the integers, :func:`echelon` (the plane's lines, in ``stability``, are
+cross products): no floating point, no rounding, arbitrary-precision
 integers underneath.  Rational input is scaled to integers first.  All
 functions here are pure, so identical inputs always give bit-identical
 outputs.  Vectors are canonicalized (integer entries, content 1, first
@@ -48,10 +49,10 @@ def _rational(value) -> Fraction:
     return Fraction(value)
 
 
-def _cleared(vec: Sequence[Fraction | int]) -> tuple[list[int], int]:
+def _cleared(vec: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
     """The vector times the lcm of its denominators, and that lcm."""
     scale = lcm(*(v.denominator for v in vec))
-    return [v.numerator * (scale // v.denominator) for v in vec], scale
+    return tuple(v.numerator * (scale // v.denominator) for v in vec), scale
 
 
 def integer_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
@@ -69,15 +70,6 @@ def integer_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     if next((v for v in ints if v), 0) < 0:
         ints = [-v for v in ints]
     return tuple(ints)
-
-
-def _primitive(vec: Sequence[int], lead: int) -> tuple[int, ...]:
-    """An integer vector divided by its content and signed so that its
-    first nonzero entry, at index lead, is positive."""
-    g = gcd(*vec)
-    if vec[lead] < 0:
-        g = -g
-    return tuple(vec) if g == 1 else tuple(v // g for v in vec)
 
 
 def _reduce(basis: Iterable[tuple[int, tuple[int, ...]]], vec: Sequence[int]) -> Sequence[int]:
@@ -100,18 +92,26 @@ def echelon(rows: Iterable[Sequence[int]]) -> EchelonForm:
     only until every column holds a pivot.
     """
     basis: dict[int, tuple[int, ...]] = {}  # pivot column -> row
-    for row in rows:
-        vec = _reduce(basis.items(), row)
-        lead = next((k for k, x in enumerate(vec) if x), None)
-        if lead is None:
-            continue
-        vec = _primitive(vec, lead)
+    for vec in rows:
+        for pivot, other in basis.items():
+            f = vec[pivot]
+            if f:
+                p = other[pivot]
+                vec = [p * a - f * b for a, b in zip(vec, other)]
+        for lead, x in enumerate(vec):
+            if x:
+                break
+        else:
+            continue  # a zero row
+        g = gcd(*vec) if x > 0 else -gcd(*vec)
+        vec = tuple(vec) if g == 1 else tuple(v // g for v in vec)
+        top = vec[lead]  # vec is 0 in each pivot column, so pivots stay positive
         for pivot, other in basis.items():
             f = other[lead]
             if f:
-                basis[pivot] = _primitive(
-                    [vec[lead] * a - f * b for a, b in zip(other, vec)], pivot
-                )
+                other = [top * a - f * b for a, b in zip(other, vec)]
+                g = gcd(*other)
+                basis[pivot] = tuple(other) if g == 1 else tuple(v // g for v in other)
         basis[lead] = vec
         if len(basis) == len(vec):
             break

@@ -91,15 +91,15 @@ class PointConfiguration:
         ``itertools.combinations`` order, and each flat is listed where it
         is first reached.
 
-        Most subsets need no elimination.  A support point is its own span
-        (a canonical point is its own echelon form), so the point flats are
-        the coincidence classes.  A subset of size k >= 2 of rank below k
-        spans a flat already reached by a smaller subset.  A subset of size
-        k whose points all lie on a flat of dimension k - 1 found before it
-        spans that flat if it is independent, and a flat of a smaller size
-        otherwise, so it is skipped without an elimination.  Membership in
-        a new flat is tested once per support point; the marks on it are
-        the marks equal to those points.
+        Most subsets are skipped.  The point flats are the coincidence
+        classes.  A subset of size k whose points all lie on a flat of
+        dimension k - 1 found before it spans that flat or a smaller one,
+        and a subset of rank below k spans a flat reached by a smaller
+        subset.  Membership in a new flat is tested once per support point.
+        In the plane that is a dot product: distinct canonical points p, q
+        are never proportional, so they span the line with normal p x q,
+        and r lies on it exactly when (p x q) . r = 0.  For d >= 3 the
+        subset is reduced by :func:`echelon` and tested with :func:`in_span`.
 
         A flat is the span of its own marks: they include the points that
         generate it and all lie on it.  So distinct flats carry distinct
@@ -118,13 +118,22 @@ class PointConfiguration:
             for subset in itertools.combinations(range(len(support)), size):
                 if subset in covered:
                     continue
-                span = echelon(support[k] for k in subset)
-                if len(span[1]) < size:
-                    continue
-                on = [k for k, p in enumerate(support) if k in subset or in_span(span, p)]
+                if self.d == 2:
+                    a, b, c = _plane_line(*(support[k] for k in subset))
+                    on = [k for k, (x, y, z) in enumerate(support) if a * x + b * y + c * z == 0]
+                else:
+                    span = echelon(support[k] for k in subset)
+                    if len(span[1]) < size:
+                        continue
+                    on = [k for k, p in enumerate(support) if k in subset or in_span(span, p)]
                 covered.update(itertools.combinations(on, size))
                 found.append((size - 1, tuple(i for i, s in enumerate(slots) if s in on)))
         return tuple(found)
+
+
+def _plane_line(p: Sequence[int], q: Sequence[int]) -> tuple[int, int, int]:
+    """The normal p x q (the 2 x 2 minors) of the line through p, q in P^2."""
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
 
 @dataclass(frozen=True)
@@ -147,6 +156,11 @@ class WeightVector:
     @property
     def n(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def _integer_weights(self) -> tuple[tuple[int, ...], int]:
+        """The weights over their common denominator, and that denominator."""
+        return _cleared(self.weights)
 
 
 _SYMMETRIC_WEIGHTS: dict[tuple[int, int], WeightVector] = {}
@@ -202,7 +216,7 @@ def stability_status(config: PointConfiguration, weights: WeightVector) -> Stabi
     if weights.d != config.d:
         raise ValueError(f"configuration in P^{config.d} but weights target P^{weights.d}")
     # weights over their common denominator, so the sums below are integers
-    int_weights, scale = _cleared(weights.weights)
+    int_weights, scale = weights._integer_weights
     found = []
     for dim, marks in config.flats:
         total = sum(int_weights[i] for i in marks)

@@ -424,6 +424,28 @@ def test_flags_before_the_action_get_a_hint(capsys, stratum_file):
         assert usage_error(capsys, argv) == (2, "", prefix + unread), argv
 
 
+def test_a_flag_value_taken_for_the_action_gets_the_hint(capsys):
+    # argparse takes the value of a flag put before the action for the
+    # action; when an action of the command reads that flag, the error says
+    # where flags go
+    hyp = ("sixpoint hypersurface: error: argument action: invalid choice: {!r} (choose from"
+           " 'eval', 'singular', 'lines', 'nodes', 'duality')")
+    div = ("sixpoint divisor: error: argument action: invalid choice: 'B2' (choose from"
+           " 'eval', 'intersect', 'chamber', 'baselocus')")
+    cases = [
+        (["hypersurface", "--samples", "5", "duality"],
+         hyp.format("5") + " (flags go after the action: sixpoint hypersurface duality"
+         " --samples 5 ...)"),
+        (["divisor", "--expr", "B2", "chamber"],
+         div + " (flags go after the action: sixpoint divisor chamber --expr B2 ...)"),
+        # no hint when the flag takes no value, or no action reads it
+        (["hypersurface", "--json", "5", "duality"], hyp.format("5")),
+        (["hypersurface", "--lps", "1,0,0", "duality"], hyp.format("1,0,0")),
+    ]
+    for argv, last in cases:
+        assert usage_error(capsys, argv) == (2, "", last), argv
+
+
 def test_git_limit_command(capsys, conic_file):
     code, out, _ = run(capsys, ["git", "limit", conic_file, "--lps", "1,0,0"])
     assert code == 0

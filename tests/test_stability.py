@@ -253,20 +253,26 @@ def test_flag_completion_matches_the_greedy_unit_vectors():
     assert checked > 500
 
 
-def test_flats_of_collinear_points_need_one_elimination(monkeypatch):
-    calls = []
+def test_plane_flats_take_one_cross_product_per_line_and_no_elimination(monkeypatch):
+    lines, eliminations = [], []
+
+    def counting_plane_line(p, q):
+        lines.append(None)
+        return plane_line(p, q)
 
     def counting_echelon(rows):
-        calls.append(None)
+        eliminations.append(None)
         return echelon(rows)
 
+    plane_line = stability_module._plane_line
+    monkeypatch.setattr(stability_module, "_plane_line", counting_plane_line)
     monkeypatch.setattr(stability_module, "echelon", counting_echelon)
     collinear = PointConfiguration(2, [(1, t, 0) for t in range(6)])
     assert collinear.flats == tuple((0, (i,)) for i in range(6)) + ((1, tuple(range(6))),)
-    assert len(calls) == 1
-    calls.clear()
+    assert (len(lines), len(eliminations)) == (1, 0)  # the other 14 pairs are covered
+    lines.clear()
     assert len(conic_points().flats) == 6 + 15  # no three on a line
-    assert len(calls) == 15
+    assert (len(lines), len(eliminations)) == (15, 0)
 
 
 def test_lies_on_conic():
@@ -290,12 +296,13 @@ def test_verdicts_are_deterministic():
 
 
 @st.composite
-def weighted_configurations(draw):
-    """A configuration in P^1..P^3 whose points are often repeats (rescaled)
-    or combinations of two earlier points, so coincidences and collinear
-    triples are common, with valid weights moved off the symmetric ones by
-    a few transfers between marks."""
-    d = draw(st.integers(1, 3))
+def weighted_configurations(draw, dims=(1, 3)):
+    """A configuration in P^d, d in the closed range dims (P^1..P^3 by
+    default), whose points are often repeats (rescaled) or combinations of
+    two earlier points, so coincidences and collinear triples are common,
+    with valid weights moved off the symmetric ones by a few transfers
+    between marks."""
+    d = draw(st.integers(*dims))
     n = draw(st.integers(max(2, d + 1), 7))
     small = st.integers(-2, 2)
     points: list[list[int]] = []
@@ -359,10 +366,13 @@ def test_stability_status_matches_brute_force_over_mark_subsets(case):
         assert verdict.status == (Status.STRICTLY_SEMISTABLE if expected else Status.STABLE)
 
 
+# the plane draw checks the cross-product lines; the default draw reaches
+# them in about a third of its examples
+@pytest.mark.parametrize("dims", [(1, 3), (2, 2)], ids=["P1-P3", "plane"])
 @settings(deadline=None, max_examples=150)
-@given(weighted_configurations())
-def test_flats_are_the_proper_spans_with_distinct_mark_sets(case):
-    config, _ = case
+@given(data=st.data())
+def test_flats_are_the_proper_spans_with_distinct_mark_sets(dims, data):
+    config, _ = data.draw(weighted_configurations(dims))
     spans, rank = proper_spans(config)
     flats = config.flats
     assert len({marks for _, marks in flats}) == len(flats)
