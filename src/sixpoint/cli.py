@@ -4,10 +4,14 @@ Subcommands: ``divisor``, ``git``, ``hypersurface``, ``m2``,
 ``paper-report``.  Each action of ``divisor``, ``git`` and ``hypersurface``
 has its own argparse parser that declares exactly the flags the action
 reads, so ``sixpoint <command> <action> -h`` lists them and argparse rejects
-any other flag.  Exit codes: 0 on success, 1 when a verification fails
-(the report battery or the duality sampler), 2 on usage or parse errors, so
-the report doubles as a CI gate.  Identical invocations produce
-byte-identical output; every rational is rendered exactly as ``p/q``.
+any other flag.  A cold start pays only for the command it runs: each
+command imports its library modules when it runs, and only the parser of
+the command that argv names gets its actions and flags (``sixpoint -h``
+still lists every command).  Exit codes: 0 on success, 1 when a
+verification fails (the report battery or the duality sampler), 2 on usage
+or parse errors, so the report doubles as a CI gate.  Identical invocations
+produce byte-identical output; every rational is rendered exactly as
+``p/q``.
 
 Divisor expression grammar (whitespace-insensitive)::
 
@@ -29,48 +33,17 @@ ignored.  Weights are comma-separated rationals, inline or in a file.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import report as report_mod
-from .divisors import (
-    CCurve,
-    FCurve,
-    SymmetricDivisor,
-    boundary,
-    canonical_divisor,
-    canonical_polarization,
-    intersect_c_curve,
-    intersect_f_curve,
-    mori_model,
-    psi_divisor,
-    stable_base_locus,
-)
 from .exact import parse_rational
-from .genus2 import M2Divisor, Space, hassett_keel_divisor, m2_chamber, pullback_to_m06
-from .hypersurfaces import (
-    Hypersurface,
-    duality_sample_check,
-    evaluate,
-    is_singular_point,
-    line_intersections,
-    pair_partition_lines,
-    segre_nodes,
-)
-from .stability import (
-    OneParameterSubgroup,
-    PointConfiguration,
-    WeightVector,
-    lies_on_conic,
-    one_parameter_limit,
-    stability_status,
-    stabilizer_dimension,
-    symmetric_weights,
-)
-from .strata import classify_stratum, polystable_degeneration, stratum_signature
+
+if TYPE_CHECKING:
+    from .divisors import CCurve, FCurve, SymmetricDivisor
+    from .stability import PointConfiguration, WeightVector
 
 __all__ = ["main", "entry", "parse_divisor_expression", "parse_points_text", "CLIError"]
 
@@ -89,6 +62,10 @@ _TERM = re.compile(
 
 def parse_divisor_expression(text: str, n: int = 6) -> SymmetricDivisor:
     """Parse the divisor mini-language into a symmetric divisor."""
+    from .divisors import (
+        SymmetricDivisor, boundary, canonical_divisor, canonical_polarization, psi_divisor,
+    )
+
     if not text.strip():
         raise CLIError("empty divisor expression")
 
@@ -143,6 +120,8 @@ def _parse_rational_or_fail(text: str, context: str) -> Fraction:
 
 def parse_points_text(text: str, dim: int) -> PointConfiguration:
     """Parse the point-per-line configuration format."""
+    from .stability import PointConfiguration
+
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -172,6 +151,8 @@ def _parse_csv_rationals(text: str, context: str) -> list[Fraction]:
 
 
 def _parse_curve(text: str) -> FCurve | CCurve:
+    from .divisors import CCurve, FCurve
+
     head, _, body = text.partition(":")
     try:
         if head == "F":
@@ -184,6 +165,8 @@ def _parse_curve(text: str) -> FCurve | CCurve:
 
 
 def _load_weights(args, config: PointConfiguration) -> WeightVector:
+    from .stability import WeightVector, symmetric_weights
+
     text = args.weights
     if args.weights_file is not None:
         text = _read_file(args.weights_file)
@@ -209,6 +192,8 @@ def _read_file(path: str) -> str:
 
 def _emit(args, lines: list[str], payload: dict) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:
@@ -226,6 +211,10 @@ def _divisor_payload(div: SymmetricDivisor) -> dict:
 
 
 def _cmd_divisor(args) -> int:
+    from .divisors import (
+        FCurve, intersect_c_curve, intersect_f_curve, mori_model, stable_base_locus,
+    )
+
     div = parse_divisor_expression(args.expr, args.n)
     if args.action == "eval":
         lines = [f"n: {div.n}", f"D = {div}"] + [
@@ -288,6 +277,12 @@ def _config_lines(config: PointConfiguration) -> list[str]:
 
 
 def _cmd_git(args) -> int:
+    from .stability import (
+        OneParameterSubgroup, lies_on_conic, one_parameter_limit, stability_status,
+        stabilizer_dimension, symmetric_weights,
+    )
+    from .strata import classify_stratum, polystable_degeneration, stratum_signature
+
     config = parse_points_text(_read_file(args.config), args.dim)
     if args.action == "stability":
         weights = _load_weights(args, config)
@@ -385,12 +380,18 @@ def _cmd_git(args) -> int:
     return 0
 
 
-_SURFACES = {"segre": Hypersurface.SEGRE_CUBIC, "igusa": Hypersurface.IGUSA_QUARTIC}
+# --surface value -> Hypersurface member name
+_SURFACES = {"segre": "SEGRE_CUBIC", "igusa": "IGUSA_QUARTIC"}
 
 
 def _cmd_hypersurface(args) -> int:
+    from .hypersurfaces import (
+        Hypersurface, duality_sample_check, evaluate, is_singular_point, line_intersections,
+        pair_partition_lines, segre_nodes,
+    )
+
     if args.action in ("eval", "singular"):
-        surface = _SURFACES[args.surface]
+        surface = Hypersurface[_SURFACES[args.surface]]
         coords = _parse_csv_rationals(args.point, "point")
         if len(coords) != 6:
             raise CLIError(f"point needs 6 coordinates, got {len(coords)}")
@@ -480,6 +481,8 @@ def _cmd_hypersurface(args) -> int:
 
 
 def _cmd_m2(args) -> int:
+    from .genus2 import M2Divisor, Space, hassett_keel_divisor, m2_chamber, pullback_to_m06
+
     stack_flags = args.delta0 is not None or args.delta1 is not None
     coarse_flags = args.Delta0 is not None or args.Delta1 is not None
     if stack_flags and coarse_flags:
@@ -531,8 +534,12 @@ def _cmd_m2(args) -> int:
 
 
 def _cmd_paper_report(args) -> int:
-    report = report_mod.build_report(duality_samples=args.samples, duality_seed=args.seed)
+    from .report import build_report
+
+    report = build_report(duality_samples=args.samples, duality_seed=args.seed)
     if args.json:
+        import json
+
         payload = {
             "pass": report.passed,
             "checks": report.total_checks,
@@ -577,6 +584,15 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+_COMMANDS = {
+    "divisor": "divisor-class arithmetic and chamber lookup",
+    "git": "stability of weighted point configurations",
+    "hypersurface": "cubic and quartic threefold checks",
+    "m2": "genus-two divisor bridge and chamber lookup",
+    "paper-report": "run the full battery of golden checks",
+}
+
+
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sixpoint",
@@ -585,25 +601,24 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         "of plane configurations, and the cubic/quartic threefold geometry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse takes the value of a flag put before the command for the command
+    parser.error = lambda message: argparse.ArgumentParser.error(
+        parser, message + _value_as_choice_hint(argv, sub.choices, message, "command")
+    )
+    commands = {name: sub.add_parser(name, help=summary) for name, summary in _COMMANDS.items()}
+    # the root parser declares no flag that takes a value, so argparse runs
+    # the first command argv names: only that command gets its flags
+    command = next((token for token in argv if token in commands), None)
+    if command is None:
+        return parser
+    command_parser = commands[command]
 
     # each action gets its own parser, declaring exactly the flags it reads;
-    # these parents hold the flags that several actions share
+    # parent parsers hold the flags that several actions share
     as_json = argparse.ArgumentParser(add_help=False)
     as_json.add_argument("--json", action="store_true")
-    expr = argparse.ArgumentParser(add_help=False, parents=[as_json])
-    expr.add_argument(
-        "--expr",
-        required=True,
-        help="divisor expression, e.g. 'K + 1/3*psi'; write one that starts "
-        "with a minus as --expr=-K",
-    )
-    expr.add_argument("--n", type=int, default=6, help="number of marked points (default 6)")
-    config = argparse.ArgumentParser(add_help=False, parents=[as_json])
-    config.add_argument("config", help="configuration file, one point per line")
-    config.add_argument("--dim", type=int, default=2, help="ambient projective dimension (default 2)")
 
-    def actions(command: str, summary: str, run, parent, *names: str) -> dict:
-        command_parser = sub.add_parser(command, help=summary)
+    def actions(run, parent, *names: str) -> dict:
         command_parser.set_defaults(run=run)
         action_parsers = command_parser.add_subparsers(dest="action", required=True)
         parsers = {name: action_parsers.add_parser(name, parents=[parent]) for name in names}
@@ -611,52 +626,52 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
             action_parser.set_defaults(leaf=action_parser)
         # argparse takes the value of a flag put before the action for the action
         command_parser.error = lambda message: argparse.ArgumentParser.error(
-            command_parser, message + _value_as_action_hint(argv, parsers, message)
+            command_parser, message + _value_as_choice_hint(argv, parsers, message, "action")
         )
         return parsers
 
-    div = actions(
-        "divisor", "divisor-class arithmetic and chamber lookup", _cmd_divisor, expr,
-        "eval", "intersect", "chamber", "baselocus",
-    )
-    div["intersect"].add_argument("--curve", required=True, help="F:a,b,c,d or C:j")
-
-    git = actions(
-        "git", "stability of weighted point configurations", _cmd_git, config,
-        "stability", "stratum", "limit", "degenerate", "conic",
-    )
-    for name in ("stability", "stratum"):
-        weights = git[name].add_mutually_exclusive_group()
-        weights.add_argument("--weights", help="comma-separated weights (default symmetric)")
-        weights.add_argument("--weights-file", help="file holding comma-separated weights")
-    git["limit"].add_argument("--lps", required=True, help="diagonal subgroup weights, e.g. 2,-1,-1")
-
-    hyp = actions(
-        "hypersurface", "cubic and quartic threefold checks", _cmd_hypersurface, as_json,
-        "eval", "singular", "lines", "nodes", "duality",
-    )
-    for name in ("eval", "singular"):
-        hyp[name].add_argument("--surface", required=True, choices=sorted(_SURFACES))
-        hyp[name].add_argument("--point", required=True, help="six comma-separated rational coordinates")
-    hyp["duality"].add_argument("--samples", type=_positive_int, default=100)
-    hyp["duality"].add_argument("--seed", type=int, default=0)
-
-    p_m2 = sub.add_parser("m2", help="genus-two divisor bridge and chamber lookup", parents=[as_json])
-    p_m2.set_defaults(run=_cmd_m2, leaf=p_m2)
-    p_m2.add_argument("--alpha", help="log-canonical slice parameter p/q")
-    p_m2.add_argument("--lambda", dest="lam", help="Hodge class coefficient p/q")
-    p_m2.add_argument("--delta0", help="stack boundary coefficient p/q")
-    p_m2.add_argument("--delta1", help="stack boundary coefficient p/q")
-    p_m2.add_argument("--Delta0", help="coarse boundary coefficient p/q")
-    p_m2.add_argument("--Delta1", help="coarse boundary coefficient p/q")
-
-    p_rep = sub.add_parser(
-        "paper-report", help="run the full battery of golden checks", parents=[as_json]
-    )
-    p_rep.set_defaults(run=_cmd_paper_report, leaf=p_rep)
-    p_rep.add_argument("--samples", type=_positive_int, default=60, help="duality sample count")
-    p_rep.add_argument("--seed", type=int, default=7)
-
+    if command == "divisor":
+        expr = argparse.ArgumentParser(add_help=False, parents=[as_json])
+        expr.add_argument(
+            "--expr",
+            required=True,
+            help="divisor expression, e.g. 'K + 1/3*psi'; write one that starts "
+            "with a minus as --expr=-K",
+        )
+        expr.add_argument("--n", type=int, default=6, help="number of marked points (default 6)")
+        div = actions(_cmd_divisor, expr, "eval", "intersect", "chamber", "baselocus")
+        div["intersect"].add_argument("--curve", required=True, help="F:a,b,c,d or C:j")
+    elif command == "git":
+        config = argparse.ArgumentParser(add_help=False, parents=[as_json])
+        config.add_argument("config", help="configuration file, one point per line")
+        config.add_argument("--dim", type=int, default=2, help="ambient projective dimension (default 2)")
+        git = actions(_cmd_git, config, "stability", "stratum", "limit", "degenerate", "conic")
+        for name in ("stability", "stratum"):
+            weights = git[name].add_mutually_exclusive_group()
+            weights.add_argument("--weights", help="comma-separated weights (default symmetric)")
+            weights.add_argument("--weights-file", help="file holding comma-separated weights")
+        git["limit"].add_argument("--lps", required=True, help="diagonal subgroup weights, e.g. 2,-1,-1")
+    elif command == "hypersurface":
+        hyp = actions(_cmd_hypersurface, as_json, "eval", "singular", "lines", "nodes", "duality")
+        for name in ("eval", "singular"):
+            hyp[name].add_argument("--surface", required=True, choices=sorted(_SURFACES))
+            hyp[name].add_argument("--point", required=True, help="six comma-separated rational coordinates")
+        hyp["duality"].add_argument("--samples", type=_positive_int, default=100)
+        hyp["duality"].add_argument("--seed", type=int, default=0)
+    elif command == "m2":
+        command_parser.set_defaults(run=_cmd_m2, leaf=command_parser)
+        command_parser.add_argument("--json", action="store_true")
+        command_parser.add_argument("--alpha", help="log-canonical slice parameter p/q")
+        command_parser.add_argument("--lambda", dest="lam", help="Hodge class coefficient p/q")
+        command_parser.add_argument("--delta0", help="stack boundary coefficient p/q")
+        command_parser.add_argument("--delta1", help="stack boundary coefficient p/q")
+        command_parser.add_argument("--Delta0", help="coarse boundary coefficient p/q")
+        command_parser.add_argument("--Delta1", help="coarse boundary coefficient p/q")
+    else:  # paper-report
+        command_parser.set_defaults(run=_cmd_paper_report, leaf=command_parser)
+        command_parser.add_argument("--json", action="store_true")
+        command_parser.add_argument("--samples", type=_positive_int, default=60, help="duality sample count")
+        command_parser.add_argument("--seed", type=int, default=7)
     return parser
 
 
@@ -670,18 +685,18 @@ def _flag_order_hint(args, unread: list[str]) -> str:
     return f" (flags go after the {where}: {args.leaf.prog} {' '.join(unread)} ...)"
 
 
-def _value_as_action_hint(argv: list[str], actions: dict, message: str) -> str:
-    """The flag-order hint when argparse rejects, as the action, the value
-    of a flag put before it that some action of the command reads."""
-    bad = "argument action: invalid choice: {!r} "
+def _value_as_choice_hint(argv: list[str], parsers: dict, message: str, dest: str) -> str:
+    """The flag-order hint when argparse rejects, as the command or action
+    (``dest``), the value of a flag put before it that one of ``parsers`` reads."""
+    bad = f"argument {dest}: invalid choice: {{!r}} "
     k = next((k for k in range(1, len(argv)) if message.startswith(bad.format(argv[k]))), 0)
     flag = argv[k - 1] if k else ""
-    declared = {name: p._option_string_actions.get(flag) for name, p in actions.items()}
+    declared = {name: p._option_string_actions.get(flag) for name, p in parsers.items()}
     readers = [name for name, action in declared.items() if action and action.nargs != 0]
     if not readers:
         return ""
     name = next((token for token in argv[k + 1 : k + 2] if token in readers), readers[0])
-    return f" (flags go after the action: {actions[name].prog} {flag} {argv[k]} ...)"
+    return f" (flags go after the {dest}: {parsers[name].prog} {flag} {argv[k]} ...)"
 
 
 def main(argv=None) -> int:

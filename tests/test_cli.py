@@ -446,6 +446,84 @@ def test_a_flag_value_taken_for_the_action_gets_the_hint(capsys):
         assert usage_error(capsys, argv) == (2, "", last), argv
 
 
+def test_a_flag_value_taken_for_the_command_gets_the_hint(capsys):
+    # the same one level up: the value of a flag put before the command is
+    # taken for the command; when the command named later declares that
+    # flag, the error says where flags go
+    root = ("sixpoint: error: argument command: invalid choice: {!r} (choose from"
+            " 'divisor', 'git', 'hypersurface', 'm2', 'paper-report')")
+    cases = [
+        (["--samples", "5", "paper-report"],
+         root.format("5") + " (flags go after the command: sixpoint paper-report --samples 5 ...)"),
+        (["--alpha", "1", "m2"],
+         root.format("1") + " (flags go after the command: sixpoint m2 --alpha 1 ...)"),
+        # no hint for a flag no command reads, one that takes no value, or
+        # one that only an action of the command reads
+        (["--tol", "5", "paper-report"], root.format("5")),
+        (["--json", "5", "paper-report"], root.format("5")),
+        (["--samples", "5", "hypersurface", "duality"], root.format("5")),
+    ]
+    for argv, last in cases:
+        assert usage_error(capsys, argv) == (2, "", last), argv
+
+
+# each parser's flags in usage order; a command with actions also lists them
+PARSER_FLAGS = {
+    (): "-h",
+    ("divisor",): "-h",
+    ("divisor", "eval"): "-h --json --expr --n",
+    ("divisor", "intersect"): "-h --json --expr --n --curve",
+    ("divisor", "chamber"): "-h --json --expr --n",
+    ("divisor", "baselocus"): "-h --json --expr --n",
+    ("git",): "-h",
+    ("git", "stability"): "-h --json --dim --weights --weights-file",
+    ("git", "stratum"): "-h --json --dim --weights --weights-file",
+    ("git", "limit"): "-h --json --dim --lps",
+    ("git", "degenerate"): "-h --json --dim",
+    ("git", "conic"): "-h --json --dim",
+    ("hypersurface",): "-h",
+    ("hypersurface", "eval"): "-h --json --surface --point",
+    ("hypersurface", "singular"): "-h --json --surface --point",
+    ("hypersurface", "lines"): "-h --json",
+    ("hypersurface", "nodes"): "-h --json",
+    ("hypersurface", "duality"): "-h --json --samples --seed",
+    ("m2",): "-h --json --alpha --lambda --delta0 --delta1 --Delta0 --Delta1",
+    ("paper-report",): "-h --json --samples --seed",
+}
+CHOICES = {
+    (): "{divisor,git,hypersurface,m2,paper-report}",
+    ("divisor",): "{eval,intersect,chamber,baselocus}",
+    ("git",): "{stability,stratum,limit,degenerate,conic}",
+    ("hypersurface",): "{eval,singular,lines,nodes,duality}",
+}
+
+
+@pytest.mark.parametrize("path", PARSER_FLAGS, ids=lambda path: " ".join(path) or "root")
+def test_help_lists_the_flags_of_its_parser(capsys, monkeypatch, path):
+    # only the parser of the command argv names is built; a wrong pick
+    # would print a help without the flags
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*path, "-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    usage = " ".join(out.split("\n\n", 1)[0].split())
+    assert usage.startswith(" ".join(("usage: sixpoint", *path, "[-h]")))
+    assert re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", usage) == PARSER_FLAGS[path].split()
+    if path in CHOICES:
+        assert CHOICES[path] in usage
+
+
+def test_a_later_token_naming_a_command_is_an_argument(capsys, tmp_path, monkeypatch):
+    # argparse runs the first command argv names; a configuration file
+    # called m2 is the file, and git gets its parser
+    monkeypatch.chdir(tmp_path)
+    Path("m2").write_text(STRATUM_I, encoding="ascii")
+    code, out, _ = run(capsys, ["git", "stratum", "m2"])
+    assert code == 0
+    assert "stratum: I\n" in out
+
+
 def test_git_limit_command(capsys, conic_file):
     code, out, _ = run(capsys, ["git", "limit", conic_file, "--lps", "1,0,0"])
     assert code == 0
@@ -588,7 +666,7 @@ def test_tolerance_flag_is_rejected(capsys):
 
 def test_sample_count_is_checked_before_any_work(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli.report_mod, "_divisor_relations", lambda: calls.append(1))
+    monkeypatch.setattr("sixpoint.report._divisor_relations", lambda: calls.append(1))
     for count in ("0", "-3", "abc", "1.5"):
         for argv in (
             ["paper-report", "--samples", count],
