@@ -578,7 +578,8 @@ def _cmd_paper_report(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for sample counts, so a bad count fails before any work."""
+    """argparse type for counts and dimensions (``--samples``, ``--dim``), so a
+    bad value is a usage error before any file is read or work is done."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -644,7 +645,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     elif command == "git":
         config = argparse.ArgumentParser(add_help=False, parents=[as_json])
         config.add_argument("config", help="configuration file, one point per line")
-        config.add_argument("--dim", type=int, default=2, help="ambient projective dimension (default 2)")
+        config.add_argument("--dim", type=_positive_int, default=2, help="ambient projective dimension (default 2)")
         git = actions(_cmd_git, config, "stability", "stratum", "limit", "degenerate", "conic")
         for name in ("stability", "stratum"):
             weights = git[name].add_mutually_exclusive_group()

@@ -59,17 +59,19 @@ def integer_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Canonicalize a rational vector up to scale.
 
     Scales to integer entries with content 1 and first nonzero entry
-    positive.  The zero vector maps to itself.
+    positive.  The zero vector maps to itself.  The divisor is the content,
+    negated when the first nonzero entry is negative, so an integer vector
+    is divided once, and not at all when it is already canonical.
     """
-    ints = list(vec)
-    if not all(type(v) is int for v in ints):
+    ints = tuple(vec)
+    if set(map(type, ints)) != {int}:
         ints = _cleared([_rational(v) for v in ints])[0]
     g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    if next((v for v in ints if v), 0) < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    for v in ints:
+        if v:
+            g = g if v > 0 else -g
+            break
+    return ints if g in (0, 1) else tuple(v // g for v in ints)
 
 
 def _reduce(basis: Iterable[tuple[int, tuple[int, ...]]], vec: Sequence[int]) -> Sequence[int]:

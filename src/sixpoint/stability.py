@@ -6,8 +6,10 @@ A configuration of n points in P^d with weights a_1..a_n is semistable
 subsets: shrinking a subspace to the span of the points it contains never
 decreases the carried weight nor increases the dimension.
 
-Also here: Lie-algebra stabilizer dimensions, diagonal one-parameter
-subgroup limits, projective transformations as integer matrices (scalar
+Also here: Lie-algebra stabilizer dimensions, read off the linear matroid
+of the support (its rank and its connected components, from one
+elimination of the points as columns), diagonal one-parameter subgroup
+limits, projective transformations as integer matrices (scalar
 multiples act alike on projective points), and the conic membership test
 for six points in the plane.
 """
@@ -239,30 +241,39 @@ def stabilizer_dimension(config: PointConfiguration) -> int:
     """Dimension of the Lie-algebra stabilizer inside sl(d+1).
 
     A traceless matrix M stabilizes the configuration when M x is
-    proportional to x for every point, i.e. (Mx)_a x_b - (Mx)_b x_a = 0;
-    these are linear conditions on the entries of M, and the stabilizer
-    dimension is the kernel dimension of the assembled system.
+    proportional to x for every point.  With m = d + 1, w the rank of the
+    support and c the number of connected components of its linear matroid,
+    the dimension is c + m(m - w) - 1:
 
-    Per point, the m - 1 pairs (a, b) with b a fixed coordinate where x_b
-    is nonzero suffice: they give (Mx)_a = ((Mx)_b / x_b) x_a for every a,
-    so Mx is parallel to x and the kernel is unchanged.  The trace row
-    comes first, so the elimination stops as soon as the rank is full.
+    * M maps W = span(support) into W, since every point is an eigenvector.
+    * A circuit has a single relation sum a_i p_i = 0, all a_i nonzero;
+      applying M and subtracting one eigenvalue times the relation leaves a
+      relation among fewer of its points, which are independent, so all
+      points of a circuit share one eigenvalue.  Any two points of a
+      component lie on a common circuit, and W is the direct sum of the
+      components' spans, so M restricted to W is a scalar on each of them:
+      c parameters, each choice allowed.
+    * On a complement of W, M is free: m(m - w) parameters.
+    * The trace condition removes 1 (the identity stabilizes and has
+      trace m, so the condition is not implied).
+
+    Both w and c come from one :func:`echelon` of the m x k matrix whose
+    columns are the k support points.  Its pivot columns are a basis B;
+    each other column j, with the pivot columns whose row is nonzero at j,
+    is the fundamental circuit of j with respect to B.  The components of a
+    matroid are the classes of the graph joining the elements of each
+    fundamental circuit, for any basis (Oxley, Matroid Theory, section 4.3),
+    so merging labels along those circuits counts c.
     """
     m = config.d + 1
-
-    def rows():
-        yield [int(r == c) for r in range(m) for c in range(m)]  # trace
-        for point in config.support():
-            b = next(k for k, x in enumerate(point) if x)
-            for a in range(m):
-                if a != b:
-                    row = [0] * (m * m)
-                    for c in range(m):
-                        row[a * m + c] = point[c] * point[b]
-                        row[b * m + c] = -point[c] * point[a]
-                    yield row
-
-    return m * m - len(echelon(rows())[1])
+    support = config.support()
+    rows, pivots = echelon(zip(*support))
+    label = list(range(len(support)))  # component label of each point
+    for j in range(len(support)):
+        if j not in pivots:
+            circuit = {label[j]}.union(label[p] for p, row in zip(pivots, rows) if row[j])
+            label = [min(circuit) if x in circuit else x for x in label]
+    return len(set(label)) + m * (m - len(pivots)) - 1
 
 
 @dataclass(frozen=True)

@@ -680,6 +680,21 @@ def test_sample_count_is_checked_before_any_work(capsys, monkeypatch):
     assert calls == []
 
 
+def test_ambient_dimension_must_be_positive(capsys, stratum_file):
+    # the value used to reach the file parser: "expected 0 coordinates, got 3"
+    for dim in ("0", "-1"):
+        for action in ("stratum", "stability", "conic"):
+            argv = ["git", action, stratum_file, "--dim", dim]
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            _, err = capsys.readouterr()
+            assert exc.value.code == 2, argv
+            assert err.splitlines()[-1].endswith(
+                f"argument --dim: expected a positive integer, got '{dim}'"
+            ), argv
+            assert "Traceback" not in err, argv
+
+
 def test_m2_command(capsys):
     code, out, _ = run(capsys, ["m2", "--alpha", "9/11"])
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from sixpoint.exact import (
     RationalMatrix,
+    _cleared,
     _inverse_up_to_scale,
+    _rational,
     echelon,
     in_span,
     integer_vector,
@@ -78,6 +81,48 @@ def test_integer_vector_canonicalization():
     assert integer_vector((0, -6, 4, 2)) == (0, 3, -2, -1)
     assert integer_vector([Fraction(1, 2), Fraction(1, 4)]) == (2, 1)
     assert all(type(x) is int for x in integer_vector([Fraction(3, 2), 6]))
+
+
+def three_pass_integer_vector(vec):
+    """The former body of integer_vector: clear denominators, divide by the
+    content, then negate when the first nonzero entry is negative."""
+    ints = list(vec)
+    if not all(type(v) is int for v in ints):
+        ints = _cleared([_rational(v) for v in ints])[0]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    if next((v for v in ints if v), 0) < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def scaled(vectors):
+    # a common factor and a sign, so content > 1 and negative leading
+    # entries are drawn often
+    return st.tuples(vectors, st.integers(-12, 12)).map(
+        lambda pair: [pair[1] * v for v in pair[0]]
+    )
+
+
+int_vectors = st.lists(st.integers(-50, 50), max_size=6)
+rational_vectors = st.lists(st.fractions(max_denominator=12), max_size=6)
+mixed_vectors = st.lists(
+    st.one_of(st.integers(-9, 9), st.booleans(), st.fractions(max_denominator=6)), max_size=6
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(
+    int_vectors, scaled(int_vectors), st.lists(st.just(0), max_size=6),
+    rational_vectors, scaled(rational_vectors), st.lists(st.booleans(), max_size=6), mixed_vectors,
+))
+def test_integer_vector_matches_the_three_pass_oracle(vec):
+    expected = three_pass_integer_vector(vec)
+    result = integer_vector(vec)
+    assert result == expected
+    assert type(result) is tuple and all(type(x) is int for x in result)
+    assert integer_vector(tuple(vec)) == expected  # any sequence type
 
 
 def test_parse_rational():

@@ -401,3 +401,50 @@ def all_pairs_stabilizer_dimension(config):
 def test_stabilizer_dimension_matches_the_all_pairs_system(case):
     config, _ = case
     assert stabilizer_dimension(config) == all_pairs_stabilizer_dimension(config)
+
+
+# the census runs in the plane, which the default draw reaches only a third
+# of the time
+@settings(deadline=None, max_examples=150)
+@given(weighted_configurations((2, 2)))
+def test_stabilizer_dimension_matches_the_all_pairs_system_in_the_plane(case):
+    config, _ = case
+    assert stabilizer_dimension(config) == all_pairs_stabilizer_dimension(config)
+
+
+# each value is the kernel dimension of the all-pairs system; the comments
+# give the rank w and the components c of the support's matroid in
+# dim = c + m(m - w) - 1
+@pytest.mark.parametrize("d, points, dim", [
+    # w = 4, the two lines
+    (3, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)], 1),
+    # w = 4, {e0}, the line {e1, e2, e1 + e2} and {e3}
+    (3, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 1)], 2),
+    (3, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)], 8),  # w = 2, one component
+    (3, [(1, 0, 0, 0), (0, 1, 0, 0)], 9),  # w = 2, two components
+    (3, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)], 0),  # a frame
+    (3, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 3),  # four components
+    (1, [(1, 0), (0, 1), (1, 1)], 0),
+    (1, [(1, 0), (0, 1)], 1),
+], ids=["skew-lines", "point-line-point", "collinear", "two-points", "frame", "coordinate-points",
+        "P1-three", "P1-two"])
+def test_stabilizer_dimension_counts_matroid_components(d, points, dim):
+    config = PointConfiguration(d, points)
+    assert stabilizer_dimension(config) == dim == all_pairs_stabilizer_dimension(config)
+
+
+def test_stabilizer_dimension_takes_one_elimination_of_the_support_columns(monkeypatch):
+    calls = []
+
+    def counting_echelon(rows):
+        rows = [tuple(row) for row in rows]
+        calls.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(stability_module, "echelon", counting_echelon)
+    for config in (doubled_vertices(), conic_points(), PointConfiguration(3, [(1, 2, 3, 4)] * 3)):
+        calls.clear()
+        stabilizer_dimension(config)
+        k = len(config.support())
+        assert len(calls) == 1
+        assert len(calls[0]) == config.d + 1 and all(len(row) == k for row in calls[0])
