@@ -143,10 +143,13 @@ def parse_points_text(text: str, dim: int) -> PointConfiguration:
         raise CLIError(str(exc)) from exc
 
 
-def _parse_csv_rationals(text: str, context: str) -> list[Fraction]:
-    fields = [f for f in text.split(",") if f.strip()]
-    if not fields:
+def _parse_csv_rationals(text: str, context: str, flag: str) -> list[Fraction]:
+    if not text.strip():
         raise CLIError(f"{context}: empty list")
+    fields = text.split(",")
+    for position, field in enumerate(fields, start=1):
+        if not field.strip():
+            raise CLIError(f"{flag}: field {position} of {len(fields)} is empty")
     return [_parse_rational_or_fail(f, context) for f in fields]
 
 
@@ -167,15 +170,15 @@ def _parse_curve(text: str) -> FCurve | CCurve:
 def _load_weights(args, config: PointConfiguration) -> WeightVector:
     from .stability import WeightVector, symmetric_weights
 
-    text = args.weights
+    text, flag = args.weights, "--weights"
     if args.weights_file is not None:
-        text = _read_file(args.weights_file)
+        text, flag = _read_file(args.weights_file), "--weights-file"
         text = " ".join(
             line.split("#", 1)[0] for line in text.splitlines()
         ).strip()
     if text is None:
         return symmetric_weights(config.n, config.d)
-    values = _parse_csv_rationals(text, "weights")
+    values = _parse_csv_rationals(text, "weights", flag)
     try:
         return WeightVector(config.d, values)
     except ValueError as exc:
@@ -392,7 +395,7 @@ def _cmd_hypersurface(args) -> int:
 
     if args.action in ("eval", "singular"):
         surface = Hypersurface[_SURFACES[args.surface]]
-        coords = _parse_csv_rationals(args.point, "point")
+        coords = _parse_csv_rationals(args.point, "point", "--point")
         if len(coords) != 6:
             raise CLIError(f"point needs 6 coordinates, got {len(coords)}")
         if not any(coords):

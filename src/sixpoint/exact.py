@@ -1,12 +1,13 @@
 """Exact linear algebra.
 
 Every rank, span and inverse comes from one fraction-free elimination over
-the integers, :func:`echelon` (the plane's lines, in ``stability``, are
-cross products): no floating point, no rounding, arbitrary-precision
-integers underneath.  Rational input is scaled to integers first.  All
-functions here are pure, so identical inputs always give bit-identical
-outputs.  Vectors are canonicalized (integer entries, content 1, first
-nonzero entry positive) so they can be frozen in golden tests.
+the integers, :func:`echelon`: no floating point, no rounding,
+arbitrary-precision integers underneath.  The plane is the exception: its
+lines (in ``stability``) and projective frames (in ``strata``) are cross
+products.  Rational input is scaled to integers first.  All functions here
+are pure, so identical inputs always give bit-identical outputs.  Vectors
+are canonicalized (integer entries, content 1, first nonzero entry
+positive) so they can be frozen in golden tests.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def in_span(form: EchelonForm, vec: Sequence[int]) -> bool:
 
 def _inverse_up_to_scale(rows: Sequence[Sequence[int]]) -> tuple[IntegerMatrix, int]:
     """s * A^-1 as integer rows, and the scale s > 0, for a square integer
-    matrix A; raises on a singular input.
+    matrix A; raises on a singular input.  Backs RationalMatrix.inverse.
 
     Row i of the echelon form of [A | I] is its positive pivot p_i times
     row i of [I | A^-1], so scaling each row by s / p_i with s = lcm(p_i)

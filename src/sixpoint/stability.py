@@ -11,7 +11,8 @@ of the support (its rank and its connected components, from one
 elimination of the points as columns), diagonal one-parameter subgroup
 limits, projective transformations as integer matrices (scalar
 multiples act alike on projective points), and the conic membership test
-for six points in the plane.
+for six points in the plane.  A line of the plane is a cross product
+(:func:`_plane_line`, which also builds the frames in ``strata``).
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import (
-    IntegerMatrix, _cleared, _inverse_up_to_scale, _rational, echelon, in_span, integer_vector,
-)
+from .exact import IntegerMatrix, _cleared, _rational, echelon, in_span, integer_vector
 
 __all__ = [
     "PointConfiguration",
@@ -40,7 +39,6 @@ __all__ = [
     "one_parameter_limit",
     "apply_transformation",
     "random_transformation",
-    "move_flag_to_standard_position",
     "lies_on_conic",
 ]
 
@@ -134,7 +132,7 @@ class PointConfiguration:
 
 
 def _plane_line(p: Sequence[int], q: Sequence[int]) -> tuple[int, int, int]:
-    """The normal p x q (the 2 x 2 minors) of the line through p, q in P^2."""
+    """The cross product p x q: the normal of the line through p, q in P^2."""
     return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
 
@@ -198,6 +196,8 @@ class Witness:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
+    """The status and every tight or violated flat, sorted by (dim, marks)."""
+
     status: Status
     witnesses: tuple[Witness, ...]
 
@@ -335,26 +335,6 @@ def random_transformation(rng, d: int, bound: int = 5) -> IntegerMatrix:
         rows = tuple(tuple(entries[i * m : (i + 1) * m]) for i in range(m))
         if len(echelon(rows)[1]) == m:
             return rows
-
-
-def move_flag_to_standard_position(flag: Sequence[tuple[int, ...]], d: int) -> IntegerMatrix:
-    """An integer transformation sending flag point k to a nonzero multiple
-    of basis vector e_k.
-
-    The flag is one point (sent to e_0) or two points spanning a line
-    (sent to e_0, e_1).  The basis is completed with the e_k that are
-    independent of the flag and e_0, ..., e_{k-1}, in order of k: those
-    where coordinate k raises the rank of the flag's coordinates k..d, i.e.
-    where column d - k of the echelon form of the reversed flag holds no
-    pivot.  The result is an integer multiple of the inverse of the matrix
-    with those columns, which is the same projective map.
-    """
-    m = d + 1
-    pivots = echelon(p[::-1] for p in flag)[1]
-    columns = [tuple(p) for p in flag] + [
-        tuple(int(i == k) for i in range(m)) for k in range(m) if d - k not in pivots
-    ]
-    return _inverse_up_to_scale([[columns[j][i] for j in range(m)] for i in range(m)])[0]
 
 
 def lies_on_conic(config: PointConfiguration) -> bool:

@@ -12,7 +12,8 @@ against the templates.  The incidence type is the signature with the mark
 labels dropped, so classification is a lookup on it.  Two strata (I and
 VII) are closed in the semistable locus; every other stratum degenerates
 onto one of them along adapted diagonal one-parameter subgroups, which is
-how the quotient map is evaluated on strictly semistable configurations.
+how the quotient map is evaluated on strictly semistable configurations;
+the frames adapted to a tight point or line are cross products.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .stability import (
     PointConfiguration,
     StabilityVerdict,
     Status,
+    _plane_line,
     apply_transformation,
-    move_flag_to_standard_position,
     one_parameter_limit,
     stability_status,
     symmetric_weights,
@@ -151,26 +152,38 @@ def classify_stratum(sig: StratumSignature, verdict: StabilityVerdict) -> str:
     return _STRATUM_OF_TYPE.get(incidence, "Unrecognized")
 
 
-# adapted subgroup weights: repel everything away from a tight point, or
-# collapse everything off a tight line onto the opposite vertex; both have
-# zero pairing with the symmetric linearization, so limits stay semistable
-_POINT_FLAG_WEIGHTS = (2, -1, -1)
-_LINE_FLAG_WEIGHTS = (1, 1, -2)
+# adapted subgroup weights, by the flat's dimension: repel everything away
+# from a tight point, or collapse everything off a tight line onto the
+# opposite vertex; both have zero pairing with the symmetric linearization,
+# so limits stay semistable
+_FLAG_WEIGHTS = ((2, -1, -1), (1, 1, -2))
+
+
+def _plane_frame(p: tuple[int, ...], q: tuple[int, ...] | None = None) -> IntegerMatrix:
+    """An integer transformation sending p, and q (another point) when
+    given, to nonzero multiples of e_0 and e_1: the adjugate rows q x r,
+    r x p, p x q of A = [p q r], that is det(A) A^-1.  Greedy completion by
+    units: alone, p takes as q, r the e_i other than e_j, j its last nonzero
+    coordinate; a line takes r = e_k, k the first nonzero entry of p x q."""
+    units = (_E0, _E1, _E2)
+    if q is None:
+        j = max(i for i, x in enumerate(p) if x)
+        q, r = (e for i, e in enumerate(units) if i != j)
+    else:
+        r = units[next(i for i, x in enumerate(_plane_line(p, q)) if x)]
+    return _plane_line(q, r), _plane_line(r, p), _plane_line(p, q)
 
 
 def _witness_flags(
     config: PointConfiguration, verdict: StabilityVerdict
 ) -> Iterator[tuple[IntegerMatrix, tuple[int, int, int]]]:
     """Standard-position transformations adapted to each equality witness,
-    point flags first, each keyed by lowest mark index for determinism.
-    Each transformation is built only when the caller reaches its flag."""
-    for w in sorted(verdict.equality_witnesses(), key=lambda w: (w.dim, w.marks)):
-        anchor = config.points[w.marks[0]]
-        if w.dim == 0:
-            yield move_flag_to_standard_position([anchor], 2), _POINT_FLAG_WEIGHTS
-        else:
-            other = next(config.points[i] for i in w.marks if config.points[i] != anchor)
-            yield move_flag_to_standard_position([anchor, other], 2), _LINE_FLAG_WEIGHTS
+    in the verdict's order (point flags first, each by lowest mark), each
+    built only when the caller reaches its flag."""
+    for w in verdict.equality_witnesses():
+        # the point of the lowest mark, then on a line the next distinct one
+        flag = tuple(dict.fromkeys(config.points[i] for i in w.marks))[: w.dim + 1]
+        yield _plane_frame(*flag), _FLAG_WEIGHTS[w.dim]
 
 
 def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfiguration, str]:

@@ -316,6 +316,22 @@ def test_git_stability_weights_file(capsys, stratum_file, tmp_path):
     assert code == 2 and err == "error: weights: empty list\n"
 
 
+def test_a_blank_field_is_an_error_not_skipped(capsys, stratum_file, tmp_path):
+    point = ["hypersurface", "eval", "--surface", "segre", "--point", "1,,1,1,-1,-1,-1"]
+    assert run(capsys, point) == (2, "", "error: --point: field 2 of 7 is empty\n")
+    weights = ["git", "stability", stratum_file, "--weights", "1/2,1/2,,1/2,1/2,1/2,1/2"]
+    assert run(capsys, weights) == (2, "", "error: --weights: field 3 of 7 is empty\n")
+    trailing = tmp_path / "weights.txt"
+    trailing.write_text("1/2,1/2,1/2,\n1/2,1/2,1/2,\n")
+    weights_file = ["git", "stability", stratum_file, "--weights-file", str(trailing)]
+    assert run(capsys, weights_file) == (2, "", "error: --weights-file: field 7 of 7 is empty\n")
+    blank = ["git", "stability", stratum_file, "--weights", " , "]
+    assert run(capsys, blank) == (2, "", "error: --weights: field 1 of 2 is empty\n")
+    # a value with no field at all is still an empty list
+    blank = ["git", "stability", stratum_file, "--weights", " "]
+    assert run(capsys, blank) == (2, "", "error: weights: empty list\n")
+
+
 def test_git_stability_reports_violating_marks(capsys, tmp_path):
     triple = tmp_path / "triple.cfg"
     triple.write_text(TRIPLE)

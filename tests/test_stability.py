@@ -16,13 +16,13 @@ from sixpoint.stability import (
     Witness,
     apply_transformation,
     lies_on_conic,
-    move_flag_to_standard_position,
     one_parameter_limit,
     random_transformation,
     stability_status,
     stabilizer_dimension,
     symmetric_weights,
 )
+from sixpoint.strata import _plane_frame
 
 E0, E1, E2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 W = symmetric_weights(6, 2)
@@ -204,21 +204,27 @@ def test_random_transformation_draws_are_pinned():
     assert rng.random() == 0.09876334465914771
 
 
-def test_move_flag_to_standard_position_sends_the_flag_to_the_basis():
-    rng = random.Random(13)
-    for d in (1, 2, 3):
-        for size in (1, 2):
-            for _ in range(25):
-                flag = [tuple(rng.randint(-3, 3) for _ in range(d + 1)) for _ in range(size)]
-                if len(echelon(flag)[1]) < size:
-                    continue
-                matrix = move_flag_to_standard_position(flag, d)
-                assert all(type(x) is int for row in matrix for x in row)
-                assert sympy.Matrix(matrix).rank() == d + 1
-                for k, point in enumerate(flag):
-                    image = [sum(a * x for a, x in zip(row, point)) for row in matrix]
-                    assert image[k] != 0
-                    assert all(x == 0 for j, x in enumerate(image) if j != k)
+def sparse_plane_flags(rng, count):
+    """Flags of one point or two distinct points of P^2 with sparse
+    entries, so that many of them miss some coordinates."""
+    flags = []
+    while len(flags) < count:
+        size = rng.choice((1, 2))
+        flag = [tuple(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(3)) for _ in range(size)]
+        if len(echelon(flag)[1]) == size:
+            flags.append(flag)
+    return flags
+
+
+def test_plane_frame_sends_the_flag_to_the_basis():
+    for flag in sparse_plane_flags(random.Random(13), 200):
+        matrix = _plane_frame(*flag)
+        assert all(type(x) is int for row in matrix for x in row)
+        assert sympy.Matrix(matrix).rank() == 3
+        for k, point in enumerate(flag):
+            image = [sum(a * x for a, x in zip(row, point)) for row in matrix]
+            assert image[k] != 0
+            assert all(x == 0 for j, x in enumerate(image) if j != k)
 
 
 def greedy_flag_transformation(flag, d):
@@ -234,23 +240,16 @@ def greedy_flag_transformation(flag, d):
 
 
 def test_flag_completion_matches_the_greedy_unit_vectors():
-    rng = random.Random(29)
-    checked = 0
-    for d in (1, 2, 3):
-        for size in range(1, d + 1):
-            for _ in range(150):
-                # sparse entries, so that many flags miss some coordinates
-                flag = [
-                    tuple(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(d + 1))
-                    for _ in range(size)
-                ]
-                if len(echelon(flag)[1]) < size:
-                    continue
-                assert move_flag_to_standard_position(flag, d) == greedy_flag_transformation(
-                    flag, d
-                ), flag
-                checked += 1
-    assert checked > 500
+    # the cross-product frame is the greedy one up to a nonzero scalar:
+    # every 2 x 2 minor of the two matrices, read as 9-vectors, vanishes
+    flags = sparse_plane_flags(random.Random(29), 600)
+    for flag in flags:
+        frame = [x for row in _plane_frame(*flag) for x in row]
+        greedy = [x for row in greedy_flag_transformation(flag, 2) for x in row]
+        assert any(frame), flag
+        pairs = itertools.combinations(zip(frame, greedy), 2)
+        assert all(a * y == b * x for (a, b), (x, y) in pairs), flag
+    assert {len(flag) for flag in flags} == {1, 2}
 
 
 def test_plane_flats_take_one_cross_product_per_line_and_no_elimination(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sixpoint import strata
+from sixpoint import exact, stability, strata
 from sixpoint.exact import RationalMatrix, echelon
 from sixpoint.stability import (
     PointConfiguration,
@@ -144,6 +145,28 @@ def test_census_path_builds_no_rational_matrix(monkeypatch):
             lies_on_conic(config)
             _, target = polystable_degeneration(config)
             assert target == STRATUM_CLOSED_ORBIT[label]
+
+
+def test_degeneration_takes_no_elimination(monkeypatch):
+    # the adapted frames are cross products; the images are built first,
+    # since random_transformation tests invertibility by elimination
+    rng = random.Random(47)
+    configs = []
+    for label in STRATUM_LABELS:
+        template = stratum_representative(label)
+        configs += [template] + [
+            apply_transformation(random_transformation(rng, 2), template) for _ in range(4)
+        ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the degeneration ran an elimination")
+
+    for module in (exact, stability, strata):
+        for name in ("echelon", "_inverse_up_to_scale"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for config in configs:
+        polystable_degeneration(config)
 
 
 def test_degeneration_rejects_non_semistable_input():
@@ -305,21 +328,26 @@ CENSUS_CODES = {"Unstable": "U", "Stable": "S"}
 CENSUS_CODES.update({label: chr(ord("a") + i) for i, label in enumerate(STRATUM_LABELS)})
 
 
+# the 13 points of {-1,0,1}^3 up to sign
+CENSUS_GRID = [
+    v for v in itertools.product((-1, 0, 1), repeat=3) if any(v) and next(x for x in v if x) > 0
+]
+
+
+def census_grid_slice():
+    """Every 16th six-point multiset of the census grid, with its index."""
+    multisets = itertools.combinations_with_replacement(CENSUS_GRID, 6)
+    return itertools.islice(enumerate(multisets), 0, None, 16)
+
+
 def test_census_grid_slice_matches_recorded_answers(limit_spy):
-    # every 16th six-point multiset of the 13 points of {-1,0,1}^3 up to
-    # sign; the recorded code per multiset is label, stabilizer dimension
-    # and conic answer, and the label agrees with the decision-chain oracle;
+    # the recorded code per multiset is label, stabilizer dimension and
+    # conic answer, and the label agrees with the decision-chain oracle;
     # every degeneration keeps the bound of three limits, two advancing
-    grid = [
-        v
-        for v in itertools.product((-1, 0, 1), repeat=3)
-        if any(v) and next(x for x in v if x) > 0
-    ]
     answers = "".join(CENSUS_ANSWERS.read_text(encoding="ascii").split())
-    multisets = itertools.combinations_with_replacement(grid, 6)
     checked = 0
     worst = (0, 0)
-    for index, points in itertools.islice(enumerate(multisets), 0, None, 16):
+    for index, points in census_grid_slice():
         config = PointConfiguration(2, points)
         verdict = stability_status(config, W)
         sig = stratum_signature(config)
@@ -333,8 +361,25 @@ def test_census_grid_slice_matches_recorded_answers(limit_spy):
             assert target == STRATUM_CLOSED_ORBIT[label], points
             assert label_of(closed) == target, points
         checked += 1
-    assert len(grid) == 13 and len(answers) == 3 * 18564 and checked == 1161
+    assert len(CENSUS_GRID) == 13 and len(answers) == 3 * 18564 and checked == 1161
     assert worst == (3, 2)
+
+
+def test_census_grid_slice_closed_orbits_match_recorded_digest():
+    # SHA-256 over the closed configuration and label of every strictly
+    # semistable multiset of the slice: any change to the coordinates of a
+    # closed orbit, not only to its label, shows here
+    digest = hashlib.sha256()
+    count = 0
+    for _, points in census_grid_slice():
+        config = PointConfiguration(2, points)
+        if stability_status(config, W).status == Status.STRICTLY_SEMISTABLE:
+            closed, label = polystable_degeneration(config)
+            digest.update(repr((closed.points, label)).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (
+        631, "0f4b92fb155795236012d52832e5869b38bc3cbef6ba794bd090f522f6393c8c"
+    )
 
 
 def assert_lookup_matches_chain(config):
