@@ -27,7 +27,8 @@ minus is passed as ``--expr=-K``: argparse reads ``--expr -K`` as two flags.
 
 Configuration file format: one point per line, d+1 whitespace-separated
 rationals (``p/q`` or integers); ``#`` starts a comment; blank lines are
-ignored.  Weights are comma-separated rationals, inline or in a file.
+ignored.  Weights are comma-separated rationals, inline or in a file; in a
+file a line break also separates two weights, and ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -143,14 +144,19 @@ def parse_points_text(text: str, dim: int) -> PointConfiguration:
         raise CLIError(str(exc)) from exc
 
 
-def _parse_csv_rationals(text: str, context: str, flag: str) -> list[Fraction]:
-    if not text.strip():
-        raise CLIError(f"{context}: empty list")
+def _csv_fields(text: str, flag: str) -> list[str]:
+    """The comma-separated fields of a flag's value, none of them blank."""
     fields = text.split(",")
     for position, field in enumerate(fields, start=1):
         if not field.strip():
             raise CLIError(f"{flag}: field {position} of {len(fields)} is empty")
-    return [_parse_rational_or_fail(f, context) for f in fields]
+    return fields
+
+
+def _parse_csv_rationals(text: str, context: str, flag: str) -> list[Fraction]:
+    if not text.strip():
+        raise CLIError(f"{context}: empty list")
+    return [_parse_rational_or_fail(f, context) for f in _csv_fields(text, flag)]
 
 
 def _parse_curve(text: str) -> FCurve | CCurve:
@@ -173,9 +179,9 @@ def _load_weights(args, config: PointConfiguration) -> WeightVector:
     text, flag = args.weights, "--weights"
     if args.weights_file is not None:
         text, flag = _read_file(args.weights_file), "--weights-file"
-        text = " ".join(
-            line.split("#", 1)[0] for line in text.splitlines()
-        ).strip()
+        lines = [kept for line in text.splitlines() if (kept := line.split("#", 1)[0].strip())]
+        # a line break separates two weights, unless the line ends in a comma
+        text = ",".join([line.removesuffix(",") for line in lines[:-1]] + lines[-1:])
     if text is None:
         return symmetric_weights(config.n, config.d)
     values = _parse_csv_rationals(text, "weights", flag)
@@ -350,7 +356,7 @@ def _cmd_git(args) -> int:
         return 0
     if args.action == "limit":
         try:
-            weights = [int(w) for w in args.lps.split(",")]
+            weights = [int(w) for w in _csv_fields(args.lps, "--lps")]
             subgroup = OneParameterSubgroup(weights)
         except ValueError as exc:
             raise CLIError(f"bad subgroup weights {args.lps!r}: {exc}") from exc
@@ -540,43 +546,23 @@ def _cmd_paper_report(args) -> int:
     from .report import build_report
 
     report = build_report(duality_samples=args.samples, duality_seed=args.seed)
-    if args.json:
-        import json
-
-        payload = {
-            "pass": report.passed,
-            "checks": report.total_checks,
-            "groups": [
-                {
-                    "name": g.name,
-                    "pass": g.passed,
-                    "checks": [
-                        {
-                            "name": c.name,
-                            "expected": c.expected,
-                            "computed": c.computed,
-                            "pass": c.passed,
-                        }
-                        for c in g.checks
-                    ],
-                }
-                for g in report.groups
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for group in report.groups:
-            print(f"[{group.name}]")
-            for check in group.checks:
-                if check.passed:
-                    print(f"  ok   {check.name} = {check.computed}")
-                else:
-                    print(
-                        f"  FAIL {check.name}: expected {check.expected},"
-                        f" computed {check.computed}"
-                    )
-        passed = report.total_checks - len(report.failures())
-        print(f"summary: {passed}/{report.total_checks} checks passed")
+    lines, groups = [], []
+    for group in report.groups:
+        lines.append(f"[{group.name}]")
+        lines += [
+            f"  ok   {c.name} = {c.computed}" if c.passed
+            else f"  FAIL {c.name}: expected {c.expected}, computed {c.computed}"
+            for c in group.checks
+        ]
+        checks = [
+            {"name": c.name, "expected": c.expected, "computed": c.computed, "pass": c.passed}
+            for c in group.checks
+        ]
+        groups.append({"name": group.name, "pass": group.passed, "checks": checks})
+    passed = report.total_checks - len(report.failures())
+    lines.append(f"summary: {passed}/{report.total_checks} checks passed")
+    payload = {"pass": report.passed, "checks": report.total_checks, "groups": groups}
+    _emit(args, lines, payload)
     return 0 if report.passed else 1
 
 

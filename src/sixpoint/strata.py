@@ -4,22 +4,23 @@ plane.
 With all weights 1/2 the only tight subspaces are a point carrying two
 marks and a line carrying four marks counted with multiplicity.  A strictly
 semistable sextuple falls into one of eleven orbit strata, labelled I
-through XI (Dolgachev-Ortland, Asterisque 165).  The private table
-``_STRATA`` holds one row per stratum: a template, its incidence type, its
-stabilizer dimension, its closed orbit and its dimension in (P^2)^6.  The
-public ``STRATUM_*`` tables are views of it, and the tests check every row
-against the templates.  The incidence type is the signature with the mark
-labels dropped, so classification is a lookup on it.  Two strata (I and
-VII) are closed in the semistable locus; every other stratum degenerates
-onto one of them along adapted diagonal one-parameter subgroups, which is
-how the quotient map is evaluated on strictly semistable configurations;
-the frames adapted to a tight point or line are cross products.
+through XI (Dolgachev-Ortland, Asterisque 165).  The module records one
+template configuration per stratum and the pair of strata (I and VII)
+that are closed in the semistable locus; every other fact is computed from
+the templates at import.  A stratum's incidence type is its template's
+signature with the mark labels dropped, so classification is a lookup on
+it; ``STRATUM_STABILIZER_DIMENSION`` is the template's stabilizer
+dimension, and ``STRATUM_DIMENSION`` its parameter count in (P^2)^6.  Every
+stratum outside the closed pair degenerates onto one of them along adapted
+diagonal one-parameter subgroups, which is how the quotient map is
+evaluated on strictly semistable configurations; the frames adapted to a
+tight point or line are cross products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .exact import IntegerMatrix
 from .stability import (
@@ -31,6 +32,7 @@ from .stability import (
     apply_transformation,
     one_parameter_limit,
     stability_status,
+    stabilizer_dimension,
     symmetric_weights,
 )
 
@@ -43,53 +45,29 @@ __all__ = [
     "stratum_representative",
     "STRATUM_LABELS",
     "STRATUM_STABILIZER_DIMENSION",
-    "STRATUM_CLOSED_ORBIT",
     "STRATUM_DIMENSION",
 ]
 
 _E0, _E1, _E2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
-
-class _Stratum(NamedTuple):
-    template: tuple[tuple[int, int, int], ...]
-    # sorted coincidence class sizes, sorted (weighted, support) line pairs
-    incidence: tuple
-    stabilizer_dimension: int
-    closed_orbit: str  # the closed stratum reached by degeneration
-    dimension: int  # inside the configuration product (P^2)^6
-
-
-# one row per stratum; the template coordinates keep its incidences exact
-_STRATA = {
-    "I": _Stratum((_E0, _E0, _E1, _E1, _E2, _E2),
-                  ((2, 2, 2), ((4, 2), (4, 2), (4, 2))), 2, "I", 6),
-    "II": _Stratum((_E0, _E0, _E1, _E1, _E2, (1, 0, 1)),
-                   ((1, 1, 2, 2), ((4, 2), (4, 3))), 1, "I", 7),
-    "III": _Stratum((_E0, _E0, _E1, _E1, _E2, (1, 1, 1)),
-                    ((1, 1, 2, 2), ((4, 2),)), 0, "I", 8),
-    "IV": _Stratum((_E0, _E0, _E2, (1, 0, 1), _E1, (1, 1, 0)),
-                   ((1, 1, 1, 1, 2), ((4, 3), (4, 3))), 0, "I", 8),
-    "V": _Stratum((_E0, _E0, _E2, (1, 0, 1), (1, 1, 0), (1, 1, 1)),
-                  ((1, 1, 1, 1, 2), ((3, 3), (4, 3))), 0, "I", 8),
-    "VI": _Stratum((_E0, _E0, _E2, (1, 0, 1), _E1, (2, 1, 1)),
-                   ((1, 1, 1, 1, 2), ((4, 3),)), 0, "I", 9),
-    "VII": _Stratum((_E2, _E2, _E0, _E1, (1, 1, 0), (1, 2, 0)),
-                    ((1, 1, 1, 1, 2), ((4, 4),)), 1, "VII", 8),
-    "VIII": _Stratum((_E0, _E0, _E1, _E2, (0, 1, 1), (1, 1, 3)),
-                     ((1, 1, 1, 1, 2), ((3, 3),)), 0, "VII", 9),
-    "IX": _Stratum((_E0, _E0, _E1, _E2, (1, 1, 1), (1, 2, 4)),
-                   ((1, 1, 1, 1, 2), ()), 0, "VII", 10),
-    "X": _Stratum((_E0, _E1, (1, 1, 0), (1, 2, 0), _E2, (1, 0, 1)),
-                  ((1, 1, 1, 1, 1, 1), ((3, 3), (4, 4))), 0, "VII", 9),
-    "XI": _Stratum((_E0, _E1, (1, 1, 0), (1, 2, 0), _E2, (1, 3, 1)),
-                   ((1, 1, 1, 1, 1, 1), ((4, 4),)), 0, "VII", 10),
+# one template per stratum; its coordinates keep the incidences exact
+_TEMPLATES = {
+    "I": (_E0, _E0, _E1, _E1, _E2, _E2),
+    "II": (_E0, _E0, _E1, _E1, _E2, (1, 0, 1)),
+    "III": (_E0, _E0, _E1, _E1, _E2, (1, 1, 1)),
+    "IV": (_E0, _E0, _E2, (1, 0, 1), _E1, (1, 1, 0)),
+    "V": (_E0, _E0, _E2, (1, 0, 1), (1, 1, 0), (1, 1, 1)),
+    "VI": (_E0, _E0, _E2, (1, 0, 1), _E1, (2, 1, 1)),
+    "VII": (_E2, _E2, _E0, _E1, (1, 1, 0), (1, 2, 0)),
+    "VIII": (_E0, _E0, _E1, _E2, (0, 1, 1), (1, 1, 3)),
+    "IX": (_E0, _E0, _E1, _E2, (1, 1, 1), (1, 2, 4)),
+    "X": (_E0, _E1, (1, 1, 0), (1, 2, 0), _E2, (1, 0, 1)),
+    "XI": (_E0, _E1, (1, 1, 0), (1, 2, 0), _E2, (1, 3, 1)),
 }
+# the strata closed in the semistable locus: the degeneration's targets
+_CLOSED_STRATA = ("I", "VII")
 
-STRATUM_LABELS = tuple(_STRATA)
-STRATUM_STABILIZER_DIMENSION = {label: row.stabilizer_dimension for label, row in _STRATA.items()}
-STRATUM_CLOSED_ORBIT = {label: row.closed_orbit for label, row in _STRATA.items()}
-STRATUM_DIMENSION = {label: row.dimension for label, row in _STRATA.items()}
-_STRATUM_OF_TYPE = {row.incidence: label for label, row in _STRATA.items()}
+STRATUM_LABELS = tuple(_TEMPLATES)
 
 
 @dataclass(frozen=True)
@@ -145,11 +123,16 @@ def classify_stratum(sig: StratumSignature, verdict: StabilityVerdict) -> str:
     """
     if verdict.status != Status.STRICTLY_SEMISTABLE:
         return verdict.status.value
-    incidence = (
+    return _STRATUM_OF_TYPE.get(_incidence(sig), "Unrecognized")
+
+
+def _incidence(sig: StratumSignature) -> tuple:
+    """The incidence type: sorted coincidence class sizes, then the sorted
+    (weighted, support) pairs of the recorded lines."""
+    return (
         tuple(sorted(len(cls) for cls in sig.coincidence)),
         tuple(sorted((rec.weighted, rec.support) for rec in sig.lines)),
     )
-    return _STRATUM_OF_TYPE.get(incidence, "Unrecognized")
 
 
 # adapted subgroup weights, by the flat's dimension: repel everything away
@@ -189,8 +172,8 @@ def _witness_flags(
 def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfiguration, str]:
     """Degenerate a strictly semistable plane sextuple to its closed orbit.
 
-    Each pass returns the configuration if its stratum is its own entry in
-    ``STRATUM_CLOSED_ORBIT``, and otherwise takes the first adapted
+    Each pass returns the configuration if its stratum is one of the closed
+    pair I and VII, and otherwise takes the first adapted
     Hilbert-Mumford limit (Mumford-Fogarty-Kirwan, ch. 4) that moves it,
     trying point flags before line flags, each by lowest mark.  Three
     passes suffice: at most two limits advance and at most three are tried.
@@ -214,7 +197,7 @@ def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfigurat
         raise ValueError(f"input is {verdict.status.value}, not strictly semistable")
     for _ in range(3):
         label = classify_stratum(stratum_signature(config), verdict)
-        if STRATUM_CLOSED_ORBIT.get(label) == label:
+        if label in _CLOSED_STRATA:
             return config, label
         for transform, subgroup_weights in _witness_flags(config, verdict):
             moved = apply_transformation(transform, config)
@@ -232,6 +215,20 @@ def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfigurat
 
 def stratum_representative(label: str) -> PointConfiguration:
     """A concrete configuration realizing the given stratum."""
-    if label not in _STRATA:
+    if label not in _TEMPLATES:
         raise ValueError(f"unknown stratum label {label!r}")
-    return PointConfiguration(2, _STRATA[label].template)
+    return PointConfiguration(2, _TEMPLATES[label])
+
+
+_SIGNATURES = {label: stratum_signature(stratum_representative(label)) for label in STRATUM_LABELS}
+_STRATUM_OF_TYPE = {_incidence(sig): label for label, sig in _SIGNATURES.items()}
+STRATUM_STABILIZER_DIMENSION = {
+    label: stabilizer_dimension(stratum_representative(label)) for label in STRATUM_LABELS
+}
+# the dimension in (P^2)^6: two parameters per distinct point, less one for
+# each support point past the second on a recorded line (on every stratum
+# these incidence conditions are independent)
+STRATUM_DIMENSION = {
+    label: 2 * len(sig.coincidence) - sum(rec.support - 2 for rec in sig.lines)
+    for label, sig in _SIGNATURES.items()
+}

@@ -62,12 +62,11 @@ from sixpoint.stability import (
     symmetric_weights,
 )
 from sixpoint.strata import (
-    STRATUM_CLOSED_ORBIT,
     STRATUM_LABELS,
-    STRATUM_STABILIZER_DIMENSION,
     polystable_degeneration,
     stratum_representative,
 )
+from test_strata import DOLGACHEV_ORTLAND
 
 F13 = FCurve((1, 1, 1, 3))
 F22 = FCurve((1, 1, 2, 2))
@@ -200,7 +199,7 @@ def test_criterion_4_chamber_sweep():
 
 def test_criterion_5_semistable_strata():
     failures = []
-    for label in STRATUM_LABELS:
+    for label, published in DOLGACHEV_ORTLAND.items():
         config = stratum_representative(label)
         verdict = stability_status(config, W6)
         check(
@@ -211,13 +210,13 @@ def test_criterion_5_semistable_strata():
         stab = stabilizer_dimension(config)
         check(
             failures,
-            stab == STRATUM_STABILIZER_DIMENSION[label],
+            stab == published.stabilizer,
             f"{label}: stabilizer {stab}",
         )
         closed, target = polystable_degeneration(config)
         check(
             failures,
-            target == STRATUM_CLOSED_ORBIT[label],
+            target == published.closed_orbit,
             f"{label}: degenerates to {target}",
         )
         if label in ("I", "VII"):

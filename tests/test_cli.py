@@ -332,6 +332,23 @@ def test_a_blank_field_is_an_error_not_skipped(capsys, stratum_file, tmp_path):
     assert run(capsys, blank) == (2, "", "error: weights: empty list\n")
 
 
+def test_a_line_break_separates_weights_in_a_file(capsys, stratum_file, tmp_path):
+    weights = tmp_path / "weights.txt"
+    stability = ["git", "stability", stratum_file, "--weights-file", str(weights)]
+    for text in (
+        "1/2\n1/2\n1/2  # three\n\n1/2\n1/2\n1/2\n",
+        "1/2,1/2,1/2\n1/2,1/2,1/2\n",
+        "1/2, 1/2, 1/2,\n  1/2, 1/2, 1/2\n",
+    ):
+        weights.write_text(text)
+        code, out, err = run(capsys, stability)
+        assert (code, err) == (0, ""), text
+        assert "weights: 1/2,1/2,1/2,1/2,1/2,1/2" in out
+    # a blank field inside a line is still an error
+    weights.write_text("1/2,,1/2\n1/2,1/2,1/2\n")
+    assert run(capsys, stability) == (2, "", "error: --weights-file: field 2 of 6 is empty\n")
+
+
 def test_git_stability_reports_violating_marks(capsys, tmp_path):
     triple = tmp_path / "triple.cfg"
     triple.write_text(TRIPLE)
@@ -551,6 +568,9 @@ def test_git_limit_command(capsys, conic_file):
     )
     code, _, err = run(capsys, ["git", "limit", conic_file, "--lps", "1,1,1"])
     assert code == 2
+    # a blank field gets the same message as in --point and --weights
+    blank = ["git", "limit", conic_file, "--lps", "2,,-1"]
+    assert run(capsys, blank) == (2, "", "error: --lps: field 2 of 3 is empty\n")
 
 
 def test_git_degenerate_command(capsys, tmp_path):

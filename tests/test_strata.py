@@ -2,11 +2,12 @@ import hashlib
 import itertools
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sixpoint import exact, stability, strata
+from sixpoint import exact, report, stability, strata
 from sixpoint.exact import RationalMatrix, echelon
 from sixpoint.stability import (
     PointConfiguration,
@@ -19,7 +20,6 @@ from sixpoint.stability import (
     symmetric_weights,
 )
 from sixpoint.strata import (
-    STRATUM_CLOSED_ORBIT,
     STRATUM_DIMENSION,
     STRATUM_LABELS,
     STRATUM_STABILIZER_DIMENSION,
@@ -31,6 +31,31 @@ from sixpoint.strata import (
 
 W = symmetric_weights(6, 2)
 E0, E1, E2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+class Published(NamedTuple):
+    # sorted coincidence class sizes, sorted (weighted, support) line pairs
+    incidence: tuple
+    stabilizer: int
+    closed_orbit: str
+    dimension: int  # inside the configuration product (P^2)^6
+
+
+# the strata I-XI of Dolgachev-Ortland, Asterisque 165, ch. I: the reference
+# every computed stratum fact is checked against
+DOLGACHEV_ORTLAND = {
+    "I": Published(((2, 2, 2), ((4, 2), (4, 2), (4, 2))), 2, "I", 6),
+    "II": Published(((1, 1, 2, 2), ((4, 2), (4, 3))), 1, "I", 7),
+    "III": Published(((1, 1, 2, 2), ((4, 2),)), 0, "I", 8),
+    "IV": Published(((1, 1, 1, 1, 2), ((4, 3), (4, 3))), 0, "I", 8),
+    "V": Published(((1, 1, 1, 1, 2), ((3, 3), (4, 3))), 0, "I", 8),
+    "VI": Published(((1, 1, 1, 1, 2), ((4, 3),)), 0, "I", 9),
+    "VII": Published(((1, 1, 1, 1, 2), ((4, 4),)), 1, "VII", 8),
+    "VIII": Published(((1, 1, 1, 1, 2), ((3, 3),)), 0, "VII", 9),
+    "IX": Published(((1, 1, 1, 1, 2), ()), 0, "VII", 10),
+    "X": Published(((1, 1, 1, 1, 1, 1), ((3, 3), (4, 4))), 0, "VII", 9),
+    "XI": Published(((1, 1, 1, 1, 1, 1), ((4, 4),)), 0, "VII", 10),
+}
 
 
 def label_of(config):
@@ -84,27 +109,51 @@ def test_signature_of_generic_configuration():
     assert sig.lines == ()
 
 
+def test_computed_tables_match_the_published_values():
+    assert STRATUM_LABELS == tuple(DOLGACHEV_ORTLAND)
+    assert strata._STRATUM_OF_TYPE == {
+        row.incidence: label for label, row in DOLGACHEV_ORTLAND.items()
+    }
+    assert STRATUM_STABILIZER_DIMENSION == {
+        label: row.stabilizer for label, row in DOLGACHEV_ORTLAND.items()
+    }
+    assert STRATUM_DIMENSION == {label: row.dimension for label, row in DOLGACHEV_ORTLAND.items()}
+
+
 def test_all_representatives_classify_to_their_label():
-    for label in STRATUM_LABELS:
+    for label in DOLGACHEV_ORTLAND:
         assert label_of(stratum_representative(label)) == label
 
 
 def test_representative_stability_and_stabilizers():
-    for label in STRATUM_LABELS:
+    for label, row in DOLGACHEV_ORTLAND.items():
         config = stratum_representative(label)
         verdict = stability_status(config, W)
         assert verdict.status == Status.STRICTLY_SEMISTABLE, label
-        assert stabilizer_dimension(config) == STRATUM_STABILIZER_DIMENSION[label], label
+        assert stabilizer_dimension(config) == row.stabilizer, label
 
 
 def test_degenerations_reach_the_closed_orbit():
-    for label in STRATUM_LABELS:
+    for label, row in DOLGACHEV_ORTLAND.items():
         config = stratum_representative(label)
         closed, target = polystable_degeneration(config)
-        assert target == STRATUM_CLOSED_ORBIT[label], label
+        assert target == row.closed_orbit, label
         assert label_of(closed) == target
         # the limit configuration is itself strictly semistable
         assert stability_status(closed, W).status == Status.STRICTLY_SEMISTABLE
+
+
+def test_report_strata_group_checks_against_published_values(monkeypatch):
+    # the report's expected values are literals: a wrong computed stabilizer
+    # fails exactly the eleven stabilizer checks, each against its published value
+    assert report._semistable_strata().passed
+    monkeypatch.setattr(report, "stabilizer_dimension", lambda config: 5)
+    group = report._semistable_strata()
+    assert not group.passed
+    failed = {check.name: check.expected for check in group.checks if not check.passed}
+    assert failed == {
+        f"{label} stabilizer": str(row.stabilizer) for label, row in DOLGACHEV_ORTLAND.items()
+    }
 
 
 def test_closed_strata_are_fixed_by_degeneration():
@@ -134,17 +183,17 @@ def test_census_path_builds_no_rational_matrix(monkeypatch):
 
     monkeypatch.setattr(RationalMatrix, "__init__", forbidden)
     rng = random.Random(47)
-    for label in STRATUM_LABELS:
+    for label, row in DOLGACHEV_ORTLAND.items():
         template = stratum_representative(label)
         images = [template] + [
             apply_transformation(random_transformation(rng, 2), template) for _ in range(4)
         ]
         for config in images:
             assert label_of(config) == label
-            assert stabilizer_dimension(config) == STRATUM_STABILIZER_DIMENSION[label]
+            assert stabilizer_dimension(config) == row.stabilizer
             lies_on_conic(config)
             _, target = polystable_degeneration(config)
-            assert target == STRATUM_CLOSED_ORBIT[label]
+            assert target == row.closed_orbit
 
 
 def test_degeneration_takes_no_elimination(monkeypatch):
@@ -152,7 +201,7 @@ def test_degeneration_takes_no_elimination(monkeypatch):
     # since random_transformation tests invertibility by elimination
     rng = random.Random(47)
     configs = []
-    for label in STRATUM_LABELS:
+    for label in DOLGACHEV_ORTLAND:
         template = stratum_representative(label)
         configs += [template] + [
             apply_transformation(random_transformation(rng, 2), template) for _ in range(4)
@@ -241,7 +290,7 @@ def signature_by_determinants(config):
 
 def test_signature_matches_determinant_oracle_on_projective_images():
     rng = random.Random(31)
-    for label in STRATUM_LABELS:
+    for label in DOLGACHEV_ORTLAND:
         template = stratum_representative(label)
         images = [template] + [
             apply_transformation(random_transformation(rng, 2), template) for _ in range(4)
@@ -286,11 +335,17 @@ def incidence_jacobian(config):
 
 def test_stratum_dimensions_from_incidence_conditions():
     # each condition is homogeneous in every point and vanishes at the
-    # template, so by Euler's identity its gradient kills the six scaling
-    # directions and the rank is the codimension in (P^2)^6
-    for label in STRATUM_LABELS:
-        rows = incidence_jacobian(stratum_representative(label))
-        assert 12 - len(echelon(rows)[1]) == STRATUM_DIMENSION[label], label
+    # configuration, so by Euler's identity its gradient kills the six
+    # scaling directions and the rank is the codimension in (P^2)^6
+    rng = random.Random(29)
+    for label, row in DOLGACHEV_ORTLAND.items():
+        template = stratum_representative(label)
+        images = [template] + [
+            apply_transformation(random_transformation(rng, 2), template) for _ in range(5)
+        ]
+        for config in images:
+            rows = incidence_jacobian(config)
+            assert 12 - len(echelon(rows)[1]) == row.dimension, (label, config)
 
 
 def stratum_by_decision_chain(sig, verdict):
@@ -325,7 +380,7 @@ def stratum_by_decision_chain(sig, verdict):
 
 CENSUS_ANSWERS = Path(__file__).resolve().parents[1] / "bench" / "census_answers.txt"
 CENSUS_CODES = {"Unstable": "U", "Stable": "S"}
-CENSUS_CODES.update({label: chr(ord("a") + i) for i, label in enumerate(STRATUM_LABELS)})
+CENSUS_CODES.update({label: chr(ord("a") + i) for i, label in enumerate(DOLGACHEV_ORTLAND)})
 
 
 # the 13 points of {-1,0,1}^3 up to sign
@@ -358,7 +413,7 @@ def test_census_grid_slice_matches_recorded_answers(limit_spy):
         if verdict.status == Status.STRICTLY_SEMISTABLE:
             (closed, target), cost = degenerate_within_bound(config, limit_spy)
             worst = max(worst, cost)
-            assert target == STRATUM_CLOSED_ORBIT[label], points
+            assert target == DOLGACHEV_ORTLAND[label].closed_orbit, points
             assert label_of(closed) == target, points
         checked += 1
     assert len(CENSUS_GRID) == 13 and len(answers) == 3 * 18564 and checked == 1161
@@ -390,7 +445,7 @@ def assert_lookup_matches_chain(config):
 
 def test_lookup_matches_decision_chain_on_projective_images():
     rng = random.Random(53)
-    for label in STRATUM_LABELS:
+    for label in DOLGACHEV_ORTLAND:
         template = stratum_representative(label)
         for _ in range(4):
             assert_lookup_matches_chain(apply_transformation(random_transformation(rng, 2), template))
