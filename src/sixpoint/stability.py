@@ -12,7 +12,12 @@ elimination of the points as columns), diagonal one-parameter subgroup
 limits, projective transformations as integer matrices (scalar
 multiples act alike on projective points), and the conic membership test
 for six points in the plane.  A line of the plane is a cross product
-(:func:`_plane_line`, which also builds the frames in ``strata``).
+(:func:`_plane_line`, which also builds the frames in ``strata``), and the
+conic test is the bracket identity [123][145][246][356] =
+[124][135][236][456], whose eight determinants are such cross products
+dotted with a third point; neither runs an elimination.  A configuration
+keeps its flats and its last stability verdict, so asking again is a
+lookup.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .exact import IntegerMatrix, _cleared, _rational, echelon, in_span, integer_vector
@@ -212,7 +218,17 @@ def stability_status(config: PointConfiguration, weights: WeightVector) -> Stabi
     mark lying on the span, not just the generating subset) against
     dim W + 1.  All equalities and violations are reported; each witness is
     the span of its own marks, so it is the minimal witnessing subspace.
+
+    The configuration keeps its last verdict, as it keeps its flats, with
+    the weights object it was computed for: a second call with that same
+    object (``symmetric_weights`` shares one per (n, d)) is a lookup.  The
+    memo is matched by identity, not equality, and holds the weights it
+    names, so it cannot answer for another object; both are immutable, so
+    it cannot go stale.
     """
+    memo = config.__dict__.get("_verdict")
+    if memo is not None and memo[0] is weights:
+        return memo[1]
     if weights.n != config.n:
         raise ValueError(f"{config.n} points but {weights.n} weights")
     if weights.d != config.d:
@@ -234,7 +250,9 @@ def stability_status(config: PointConfiguration, weights: WeightVector) -> Stabi
         status = Status.STRICTLY_SEMISTABLE
     else:
         status = Status.STABLE
-    return StabilityVerdict(status=status, witnesses=witnesses)
+    verdict = StabilityVerdict(status=status, witnesses=witnesses)
+    config.__dict__["_verdict"] = (weights, verdict)
+    return verdict
 
 
 def stabilizer_dimension(config: PointConfiguration) -> int:
@@ -281,16 +299,34 @@ class OneParameterSubgroup:
     """A diagonal one-parameter subgroup, acting by t^{w_i} on coordinate i.
 
     The weights are integers and must not all be equal, since a constant
-    weight vector acts trivially on projective space.
+    weight vector acts trivially on projective space.  They follow the
+    exact-input rule of :func:`exact._rational`: a float raises TypeError,
+    and a rational that is not an integer raises ValueError rather than
+    being truncated to a different subgroup.
     """
 
     weights: tuple[int, ...]
 
     def __init__(self, weights: Sequence[int]):
-        ws = tuple(int(w) for w in weights)
+        rationals = tuple(_rational(w) for w in weights)
+        if any(r.denominator != 1 for r in rationals):
+            raise ValueError(f"weights must be integers, got {', '.join(map(str, rationals))}")
+        ws = tuple(r.numerator for r in rationals)
         if len(set(ws)) < 2:
             raise ValueError("weights must not all be equal")
         object.__setattr__(self, "weights", ws)
+
+
+def _limit_points(
+    points: Sequence[tuple[int, ...]], weights: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """The t -> 0 limits of integer points under the diagonal subgroup with
+    these weights, by the rule of :func:`one_parameter_limit`."""
+    limits = []
+    for p in points:
+        lowest = min([w for w, x in zip(weights, p) if x])
+        limits.append(tuple([x if w == lowest else 0 for w, x in zip(weights, p)]))
+    return limits
 
 
 def one_parameter_limit(
@@ -304,13 +340,12 @@ def one_parameter_limit(
     """
     if len(subgroup.weights) != config.d + 1:
         raise ValueError("subgroup weight count does not match the ambient dimension")
-    limits = []
-    for p in config.points:
-        lowest = min(w for w, x in zip(subgroup.weights, p) if x != 0)
-        limits.append(
-            tuple(x if w == lowest else 0 for w, x in zip(subgroup.weights, p))
-        )
-    return PointConfiguration(config.d, limits)
+    return PointConfiguration(config.d, _limit_points(config.points, subgroup.weights))
+
+
+def _transformed(matrix: Sequence[Sequence[int]], points) -> list[tuple[int, ...]]:
+    """The images of integer points under integer rows, not rescaled."""
+    return [tuple([sum(map(mul, row, p)) for row in matrix]) for p in points]
 
 
 def apply_transformation(
@@ -321,14 +356,38 @@ def apply_transformation(
     m = config.d + 1
     if len(matrix) != m or any(len(row) != m for row in matrix):
         raise ValueError("transformation size does not match the ambient dimension")
-    return PointConfiguration(
-        config.d, [[sum(a * x for a, x in zip(row, p)) for row in matrix] for p in config.points]
-    )
+    return PointConfiguration(config.d, _transformed(matrix, config.points))
+
+
+def _transformed_limit(
+    matrix: IntegerMatrix, config: PointConfiguration, weights: tuple[int, ...]
+) -> PointConfiguration | None:
+    """``one_parameter_limit(apply_transformation(matrix, config), s)`` for
+    the subgroup s with these weights when that limit moves, else None.
+
+    The limit is taken on the transformed integer vectors, which need not
+    be canonical: a point moves exactly when a nonzero coordinate is
+    zeroed, which rescaling does not change, and canonical scaling commutes
+    with the limit rule.  So only a limit that moves builds a
+    configuration."""
+    image = _transformed(matrix, config.points)
+    limits = _limit_points(image, weights)
+    return None if limits == image else PointConfiguration(config.d, limits)
 
 
 def random_transformation(rng, d: int, bound: int = 5) -> IntegerMatrix:
     """A random invertible integer matrix with entries in [-bound, bound],
-    as a tuple of rows."""
+    as a tuple of rows.
+
+    Candidates are drawn until one is invertible.  For d >= 1 and
+    bound >= 1 the identity is among the candidates, so each draw succeeds
+    with positive probability and the loop ends; other arguments raise
+    ValueError.
+    """
+    if d < 1:
+        raise ValueError(f"ambient dimension must be at least 1, got {d}")
+    if bound < 1:
+        raise ValueError(f"entry bound must be at least 1, got {bound}")
     m = d + 1
     while True:
         entries = [rng.randint(-bound, bound) for _ in range(m * m)]
@@ -339,9 +398,39 @@ def random_transformation(rng, d: int, bound: int = 5) -> IntegerMatrix:
 
 def lies_on_conic(config: PointConfiguration) -> bool:
     """Whether some conic, possibly degenerate, passes through all six
-    points.  Equivalent to the rank of the matrix of degree-2 monomials
-    x^2, xy, xz, y^2, yz, z^2 at the points being < 6."""
+    points.
+
+    That is the vanishing of the 6 x 6 determinant of the degree-2
+    monomials x^2, xy, xz, y^2, yz, z^2 at the points, which equals the
+    bracket polynomial [123][145][246][356] - [124][135][236][456], [ijk]
+    the determinant of points i, j, k (the classical conic condition; see
+    Sturmfels, *Algorithms in Invariant Theory*).  The eight brackets come
+    from four cross products and eight dot products (:func:`_conic_sides`),
+    with no elimination.
+    """
     if config.d != 2 or config.n != 6:
         raise ValueError("conic membership is a test for six points in the plane")
-    rows = [(x * x, x * y, x * z, y * y, y * z, z * z) for x, y, z in config.points]
-    return len(echelon(rows)[1]) <= 5
+    left, right = _conic_sides(config.points)
+    return left == right
+
+
+def _conic_sides(points):
+    """The two sides [123][145][246][356] and [124][135][236][456] of the
+    conic condition on six plane points.
+
+    With lines l_ij = p_i x p_j, each bracket is a line dotted with a third
+    point: [123] = l_12 . p3, [145] = -l_15 . p4, [246] = -l_26 . p4 and
+    [356] = l_56 . p3, and likewise on the right at p4 and p3 swapped; the
+    signs cancel in pairs.  So the sides are C(p3) D(p4) and C(p4) D(p3)
+    for the line pairs C = l_12 l_56 and D = l_15 l_26, two conics through
+    p1, p2, p5, p6: equal exactly when p3 and p4 lie on one conic of their
+    pencil.
+    """
+    p1, p2, p3, p4, p5, p6 = points
+    at3, at4 = [], []  # l_12, l_56, l_15, l_26 dotted with p3, with p4
+    for a, b, c in (
+        _plane_line(p1, p2), _plane_line(p5, p6), _plane_line(p1, p5), _plane_line(p2, p6)
+    ):
+        at3.append(a * p3[0] + b * p3[1] + c * p3[2])
+        at4.append(a * p4[0] + b * p4[1] + c * p4[2])
+    return at3[0] * at3[1] * at4[2] * at4[3], at4[0] * at4[1] * at3[2] * at3[3]

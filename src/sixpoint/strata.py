@@ -24,13 +24,11 @@ from typing import Iterator
 
 from .exact import IntegerMatrix
 from .stability import (
-    OneParameterSubgroup,
     PointConfiguration,
     StabilityVerdict,
     Status,
     _plane_line,
-    apply_transformation,
-    one_parameter_limit,
+    _transformed_limit,
     stability_status,
     stabilizer_dimension,
     symmetric_weights,
@@ -188,6 +186,11 @@ def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfigurat
       step taken from q, leaves q and L in standard position: q at e0 with
       L at x0 = 0, or q at e2 with L = span(e0, e1).  There q's flag does
       not move, and p's limit merges the two single marks on L, reaching I.
+
+    A caller that has judged the input with the shared symmetric weights
+    has left that verdict on the configuration, so the check below reads it
+    back.  Each limit that advances is built once and judged afresh; a
+    flag whose limit does not move builds no configuration.
     """
     if config.d != 2 or config.n != 6:
         raise ValueError("degeneration is defined for six points in the plane")
@@ -200,9 +203,8 @@ def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfigurat
         if label in _CLOSED_STRATA:
             return config, label
         for transform, subgroup_weights in _witness_flags(config, verdict):
-            moved = apply_transformation(transform, config)
-            limit = one_parameter_limit(moved, OneParameterSubgroup(subgroup_weights))
-            if limit != moved:
+            limit = _transformed_limit(transform, config, subgroup_weights)
+            if limit is not None:
                 config = limit
                 verdict = stability_status(config, weights)
                 if verdict.status != Status.STRICTLY_SEMISTABLE:

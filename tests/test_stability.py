@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 import sixpoint.stability as stability_module
 from sixpoint.exact import _inverse_up_to_scale, echelon
@@ -22,7 +25,8 @@ from sixpoint.stability import (
     stabilizer_dimension,
     symmetric_weights,
 )
-from sixpoint.strata import _plane_frame
+from sixpoint.strata import _plane_frame, polystable_degeneration
+from test_strata import CENSUS_GRID
 
 E0, E1, E2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 W = symmetric_weights(6, 2)
@@ -155,6 +159,20 @@ def test_one_parameter_limit_examples():
     assert one_parameter_limit(vertices, OneParameterSubgroup((2, -1, -1))) == vertices
 
 
+def test_one_parameter_subgroup_weights_are_exact_integers():
+    # a rational that is not an integer names a different subgroup than its
+    # truncation, and a float is not the decimal it was typed as
+    with pytest.raises(ValueError, match="integers"):
+        OneParameterSubgroup((Fraction(3, 2), Fraction(1, 2), 0))
+    with pytest.raises(TypeError):
+        OneParameterSubgroup((1.5, 0, 0))
+    with pytest.raises(TypeError):
+        OneParameterSubgroup((2.0, 0, 0))
+    subgroup = OneParameterSubgroup((Fraction(4, 2), -1, True))
+    assert subgroup.weights == (2, -1, 1)
+    assert all(type(w) is int for w in subgroup.weights)
+
+
 def test_one_parameter_limit_can_leave_the_semistable_locus():
     # four marks on z = 0 with two marks off; flowing the off points onto
     # the line stacks six marks there, which is unstable
@@ -202,6 +220,20 @@ def test_random_transformation_draws_are_pinned():
         ((1, 1), (-1, 0)),
     ]
     assert rng.random() == 0.09876334465914771
+
+
+def test_random_transformation_rejects_arguments_with_no_invertible_draw():
+    # bound 0 draws only the zero matrix and d < 1 has no pivot count to
+    # reach, so the loop would never end; both are refused before it
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="entry bound"):
+        random_transformation(rng, 2, bound=0)
+    with pytest.raises(ValueError, match="entry bound"):
+        random_transformation(rng, 2, bound=-3)
+    for d in (0, -2):
+        with pytest.raises(ValueError, match="ambient dimension"):
+            random_transformation(rng, d)
+    assert rng.random() == random.Random(0).random()  # nothing was drawn
 
 
 def sparse_plane_flags(rng, count):
@@ -278,7 +310,7 @@ def test_lies_on_conic():
     assert lies_on_conic(conic_points())
     assert lies_on_conic(doubled_vertices())  # degenerate conic: two lines
     # five general points determine the conic 3xy - 4xz + yz; (1 : 4 : 9)
-    # misses it, so the monomial matrix has full rank
+    # misses it, so the two sides of the bracket identity differ
     off = PointConfiguration(
         2, [E0, E1, E2, (1, 1, 1), (1, 2, 3), (1, 4, 9)]
     )
@@ -287,11 +319,97 @@ def test_lies_on_conic():
         lies_on_conic(PointConfiguration(2, [E0, E1, E2]))
 
 
+def conic_by_monomial_rank(config):
+    """Oracle: six points lie on a conic exactly when the 6 x 6 matrix of
+    their degree-2 monomials is singular."""
+    rows = [(x * x, x * y, x * z, y * y, y * z, z * z) for x, y, z in config.points]
+    return len(echelon(rows)[1]) <= 5
+
+
+def test_monomial_determinant_is_the_bracket_polynomial():
+    # over Z[x1..z6], with no expansion left to chance: the Veronese
+    # determinant is [123][145][246][356] - [124][135][236][456], and the
+    # sides lies_on_conic compares differ by exactly that polynomial
+    ring, *coordinates = sympy.ring(sympy.symbols("x1:7 y1:7 z1:7"), sympy.ZZ)
+    points = list(zip(coordinates[0:6], coordinates[6:12], coordinates[12:18]))
+
+    def det(rows):
+        return DomainMatrix([list(r) for r in rows], (len(rows),) * 2, ring.to_domain()).det()
+
+    def bracket(i, j, k):
+        return det([points[i - 1], points[j - 1], points[k - 1]])
+
+    veronese = det([(x * x, x * y, x * z, y * y, y * z, z * z) for x, y, z in points])
+    brackets = (
+        bracket(1, 2, 3) * bracket(1, 4, 5) * bracket(2, 4, 6) * bracket(3, 5, 6)
+        - bracket(1, 2, 4) * bracket(1, 3, 5) * bracket(2, 3, 6) * bracket(4, 5, 6)
+    )
+    left, right = stability_module._conic_sides(points)
+    assert veronese == brackets == left - right
+    assert len(brackets.terms()) == 720
+
+
+def test_lies_on_conic_matches_the_monomial_rank_on_the_whole_grid():
+    # every multiset of six of the 13 grid points, and one seeded image of
+    # each: the bracket test and the rank oracle agree on all 37,128
+    rng = random.Random(2024)
+    answers = {True: 0, False: 0}
+    for points in itertools.combinations_with_replacement(CENSUS_GRID, 6):
+        config = PointConfiguration(2, points)
+        for case in (config, apply_transformation(random_transformation(rng, 2), config)):
+            answer = lies_on_conic(case)
+            assert answer == conic_by_monomial_rank(case), case.points
+            answers[answer] += 1
+    assert sum(answers.values()) == 2 * 18564 and min(answers.values()) > 0
+
+
 def test_verdicts_are_deterministic():
     config = doubled_vertices()
     first = stability_status(config, W)
     second = stability_status(config, W)
     assert first == second
+    assert stability_status(doubled_vertices(), W) == first
+
+
+def test_each_weights_object_gets_its_own_verdict():
+    # the free stratum IX: a double point and four general singles
+    config = PointConfiguration(2, [E0, E0, E1, E2, (1, 1, 1), (1, 2, 4)])
+    heavy = WeightVector(2, [1, 1, Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)])
+    light = WeightVector(2, [Fraction(1, 4)] * 2 + [Fraction(5, 8)] * 4)
+    equal = WeightVector(2, [Fraction(1, 2)] * 6)  # equal to W, another object
+    assert equal == W and equal is not W
+    expected = {
+        id(W): Status.STRICTLY_SEMISTABLE,
+        id(heavy): Status.UNSTABLE,
+        id(light): Status.STABLE,
+        id(equal): Status.STRICTLY_SEMISTABLE,
+    }
+    for weights in (W, heavy, W, light, equal, light, W):
+        verdict = stability_status(config, weights)
+        assert verdict.status == expected[id(weights)]
+        assert verdict == stability_status(PointConfiguration(2, config.points), weights)
+    with pytest.raises(ValueError):
+        stability_status(config, symmetric_weights(3, 2))
+
+
+def test_the_verdict_memo_is_not_part_of_the_value():
+    judged, fresh = doubled_vertices(), doubled_vertices()
+    stability_status(judged, W)
+    assert [f.name for f in dataclasses.fields(PointConfiguration)] == ["d", "points"]
+    assert judged == fresh
+    assert hash(judged) == hash(fresh)
+    assert repr(judged) == repr(fresh) == f"PointConfiguration(d=2, points={fresh.points!r})"
+
+
+def test_no_module_cache_keeps_a_judged_configuration_alive():
+    # the memo lives on the configuration and refers only to the weights
+    # and the verdict, so dropping the last reference frees it at once
+    config = PointConfiguration(2, [E0, E0, E1, E1, E2, (1, 1, 1)])  # stratum III
+    stability_status(config, W)
+    closed, _ = polystable_degeneration(config)
+    refs = [weakref.ref(config), weakref.ref(closed)]
+    del config, closed
+    assert [ref() for ref in refs] == [None, None]
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -10,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 from sixpoint import exact, report, stability, strata
 from sixpoint.exact import RationalMatrix, echelon
 from sixpoint.stability import (
+    OneParameterSubgroup,
     PointConfiguration,
     Status,
     apply_transformation,
     lies_on_conic,
+    one_parameter_limit,
     random_transformation,
     stability_status,
     stabilizer_dimension,
@@ -68,14 +71,14 @@ def label_of(config):
 def limit_spy(monkeypatch):
     """One entry per limit the degeneration evaluates: whether it moved."""
     moved = []
-    real = strata.one_parameter_limit
+    real = strata._transformed_limit
 
-    def spy(config, subgroup):
-        limit = real(config, subgroup)
-        moved.append(limit != config)
+    def spy(transform, config, weights):
+        limit = real(transform, config, weights)
+        moved.append(limit is not None)
         return limit
 
-    monkeypatch.setattr(strata, "one_parameter_limit", spy)
+    monkeypatch.setattr(strata, "_transformed_limit", spy)
     return moved
 
 
@@ -216,6 +219,76 @@ def test_degeneration_takes_no_elimination(monkeypatch):
                 monkeypatch.setattr(module, name, forbidden)
     for config in configs:
         polystable_degeneration(config)
+
+
+def test_transformed_limit_is_the_limit_of_the_image_when_it_moves():
+    # each witness frame, and a random transformation, under both adapted
+    # subgroups, on every template and seeded images of it
+    rng = random.Random(61)
+    outcomes = []
+    for label in DOLGACHEV_ORTLAND:
+        template = stratum_representative(label)
+        for config in [template] + [
+            apply_transformation(random_transformation(rng, 2), template) for _ in range(3)
+        ]:
+            frames = [frame for frame, _ in strata._witness_flags(config, stability_status(config, W))]
+            for transform in frames + [random_transformation(rng, 2)]:
+                image = apply_transformation(transform, config)
+                for weights in strata._FLAG_WEIGHTS:
+                    limit = one_parameter_limit(image, OneParameterSubgroup(weights))
+                    got = stability._transformed_limit(transform, config, weights)
+                    if limit == image:
+                        assert got is None, (config, transform, weights)
+                    else:
+                        assert got == limit, (config, transform, weights)
+                    outcomes.append(got is None)
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.fixture
+def judgement_spy(monkeypatch):
+    """Configurations whose flats are scanned, and verdicts built, from here
+    on: a verdict read back from a configuration's memo adds neither."""
+    scans, verdicts = [], []
+    scan = PointConfiguration.flats.func
+    verdict_class = stability.StabilityVerdict
+
+    def counting_scan(config):
+        scans.append(config)
+        return scan(config)
+
+    def counting_verdict(**fields):
+        verdicts.append(fields)
+        return verdict_class(**fields)
+
+    flats = cached_property(counting_scan)
+    flats.__set_name__(PointConfiguration, "flats")
+    monkeypatch.setattr(PointConfiguration, "flats", flats)
+    monkeypatch.setattr(stability, "StabilityVerdict", counting_verdict)
+    return scans, verdicts
+
+
+def test_a_held_verdict_is_read_back_and_only_advancing_limits_are_judged(
+    judgement_spy, limit_spy
+):
+    scans, verdicts = judgement_spy
+    rng = random.Random(67)
+    advanced = 0
+    for label in DOLGACHEV_ORTLAND:
+        template = stratum_representative(label)
+        for points in [template.points] + [
+            apply_transformation(random_transformation(rng, 2), template).points for _ in range(3)
+        ]:
+            config = PointConfiguration(2, points)
+            stability_status(config, W)  # the caller's verdict, as in the census
+            scans.clear()
+            verdicts.clear()
+            (_, target), _ = degenerate_within_bound(config, limit_spy)
+            assert target == DOLGACHEV_ORTLAND[label].closed_orbit
+            assert len(scans) == len(verdicts) == sum(limit_spy), (label, points)
+            assert all(limit is not config for limit in scans)
+            advanced += sum(limit_spy)
+    assert advanced > 0
 
 
 def test_degeneration_rejects_non_semistable_input():
