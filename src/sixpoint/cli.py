@@ -574,6 +574,15 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for ``--seed``: random.Random(-s) is seeded like
+    Random(s), so a negative seed would repeat another seed's draws under
+    its own name."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 _COMMANDS = {
     "divisor": "divisor-class arithmetic and chamber lookup",
     "git": "stability of weighted point configurations",
@@ -647,7 +656,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
             hyp[name].add_argument("--surface", required=True, choices=sorted(_SURFACES))
             hyp[name].add_argument("--point", required=True, help="six comma-separated rational coordinates")
         hyp["duality"].add_argument("--samples", type=_positive_int, default=100)
-        hyp["duality"].add_argument("--seed", type=int, default=0)
+        hyp["duality"].add_argument("--seed", type=_nonnegative_int, default=0)
     elif command == "m2":
         command_parser.set_defaults(run=_cmd_m2, leaf=command_parser)
         command_parser.add_argument("--json", action="store_true")
@@ -661,7 +670,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         command_parser.set_defaults(run=_cmd_paper_report, leaf=command_parser)
         command_parser.add_argument("--json", action="store_true")
         command_parser.add_argument("--samples", type=_positive_int, default=60, help="duality sample count")
-        command_parser.add_argument("--seed", type=int, default=7)
+        command_parser.add_argument("--seed", type=_nonnegative_int, default=7)
     return parser
 
 

@@ -5,10 +5,11 @@ the integers, :func:`echelon`: no floating point, no rounding,
 arbitrary-precision integers underneath.  The plane is the exception: its
 lines and its conic test (in ``stability``) and its projective frames (in
 ``strata``) are cross products; six points lie on a conic when a bracket
-identity between products of 3 x 3 determinants holds.  Rational input is scaled to integers first.  All functions here
-are pure, so identical inputs always give bit-identical outputs.  Vectors
-are canonicalized (integer entries, content 1, first nonzero entry
-positive) so they can be frozen in golden tests.
+identity between products of 3 x 3 determinants holds.  Rational input is
+scaled to integers first.  All functions here are pure, so identical inputs
+always give bit-identical outputs.  Vectors are canonicalized (integer
+entries, content 1, first nonzero entry positive) so they can be frozen in
+golden tests.
 """
 
 from __future__ import annotations

@@ -18,6 +18,13 @@ points are built as integers throughout.  The duality sampler's irrational
 points have coordinates a + b sqrt(D) with integers a, b, and are decided
 exactly too; every intermediate value that is rational (the power sums, the
 linear form, the residual) is a plain int.
+
+Both samplers draw their coordinates from one stream of digits in -9..9,
+the values ``random.Random(seed).randint(-9, 9)`` returns one call at a
+time, but taken 64 Mersenne Twister outputs per ``getrandbits`` call (see
+:func:`_digits`).  Seeds are nonnegative: ``Random(-s)`` is seeded like
+``Random(s)``, so a negative seed would only rename the draws of its
+absolute value.
 """
 
 from __future__ import annotations
@@ -62,10 +69,10 @@ def evaluate(surface: Hypersurface, coords: Sequence) -> tuple:
         raise ValueError("expected six homogeneous coordinates")
     linear = sum(coords)
     if surface == Hypersurface.SEGRE_CUBIC:
-        return linear, sum(x**3 for x in coords)
+        return linear, sum([x * x * x for x in coords])
     squares = [x * x for x in coords]
     p2 = sum(squares)
-    p4 = sum(q * q for q in squares)
+    p4 = sum([q * q for q in squares])
     return linear, p2 * p2 - 4 * p4
 
 
@@ -75,9 +82,9 @@ def gradient(surface: Hypersurface, coords: Sequence) -> tuple:
     if len(coords) != 6:
         raise ValueError("expected six homogeneous coordinates")
     if surface == Hypersurface.SEGRE_CUBIC:
-        return tuple(3 * x * x for x in coords)
-    p2 = sum(x * x for x in coords)
-    return tuple(4 * x * p2 - 16 * x**3 for x in coords)
+        return tuple([3 * x * x for x in coords])
+    p2 = sum([x * x for x in coords])
+    return tuple([4 * x * p2 - 16 * x * x * x for x in coords])
 
 
 def is_singular_point(surface: Hypersurface, coords: Sequence[Fraction | int]) -> bool:
@@ -183,6 +190,31 @@ def pair_pattern_point(a, b, c) -> tuple:
 
 
 _NODE = (1, 1, 1, -1, -1, -1)
+# segre_nodes() are already canonical integer vectors
+_NODES = frozenset(segre_nodes())
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def _digits(seed: int):
+    """The digits random.Random(seed).randint(-9, 9) returns, in order.
+
+    randint(-9, 9) is -9 + getrandbits(5), redrawn while the draw is 19 or
+    more, and getrandbits(5) is the top five bits of one 32-bit Mersenne
+    Twister output.  getrandbits(2048) packs the next 64 outputs, the first
+    in the lowest 32 bits, so byte 3 of each little-endian word is the top
+    byte of one output and b >> 3 its top five bits; a byte of 152 or more
+    is a redraw.  The unread rest of the last block is never drawn from
+    elsewhere: each caller owns its generator.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    while True:
+        for b in getrandbits(2048).to_bytes(256, "little")[3::4]:
+            if b < 152:
+                yield (b >> 3) - 9
 
 
 def random_cubic_points(count: int, seed: int) -> list[tuple[int, ...]]:
@@ -192,16 +224,23 @@ def random_cubic_points(count: int, seed: int) -> list[tuple[int, ...]]:
     one further point, which is therefore rational: for a direction V with
     sum(V) = 0 the residual intersection sits at t = -3 sum(N_i V_i^2) /
     sum(V_i^3).  Points are canonically scaled to integer coordinates.
+
+    The first five entries of each V are the next five values of
+    randint(-9, 9) on random.Random(seed), drawn in blocks by
+    :func:`_digits`.  The seed must be nonnegative.
     """
-    rng = random.Random(seed)
+    _check_seed(seed)
+    digit = _digits(seed).__next__
     points: list[tuple[int, ...]] = []
     while len(points) < count:
-        v = [rng.randint(-9, 9) for _ in range(5)]
+        v = [digit(), digit(), digit(), digit(), digit()]
         v.append(-sum(v))
-        cubic_v = sum(x**3 for x in v)
+        cubic_v = sum([x * x * x for x in v])
         if cubic_v == 0:
             continue
-        quad = sum(n * x * x for n, x in zip(_NODE, v))
+        v0, v1, v2, v3, v4, v5 = v
+        # sum(N_i V_i^2) with N = _NODE
+        quad = v0 * v0 + v1 * v1 + v2 * v2 - v3 * v3 - v4 * v4 - v5 * v5
         if quad == 0:
             continue
         # N + t V scaled by sum(V_i^3), which keeps it integral
@@ -218,10 +257,9 @@ def search_extra_singular_points(count: int, seed: int) -> list[tuple[int, ...]]
     Samples ``count`` rational points of the cubic and returns any that are
     singular yet not among the ten nodes.  Expected to come back empty.
     """
-    known = {integer_vector(n) for n in segre_nodes()}
     extras = []
     for point in random_cubic_points(count, seed):
-        if point in known:
+        if point in _NODES:
             continue
         if is_singular_point(Hypersurface.SEGRE_CUBIC, point):
             extras.append(point)
@@ -237,21 +275,18 @@ def gauss_image(coords: Sequence) -> tuple:
     """
     squares = [x * x for x in coords]
     p2 = sum(squares)
-    return tuple(6 * q - p2 for q in squares)
-
-
-def _surd(a: int, b: int, d: int) -> "int | _Surd":
-    """a + b sqrt(d), as the plain int a when b is 0."""
-    return a if b == 0 else _Surd(a, b, d)
+    return tuple([6 * q - p2 for q in squares])
 
 
 class _Surd:
-    """The number a + b sqrt(d) for integers a, b and a fixed d > 0 that is
-    not a square, so that it is zero exactly when a = b = 0.
+    """The number a + b sqrt(d) for integers a, b != 0 and a fixed d > 0
+    that is not a square, so that it is never zero or rational.
 
-    The other operand is an int or a _Surd with the same d.  Every result
-    passes through :func:`_surd`, so a value whose sqrt(d) part cancels is a
-    plain int again and the arithmetic after it is int arithmetic.
+    The other operand is an int or a _Surd with the same d.  Since b != 0,
+    a result can lose its sqrt(d) part only in a sum or difference of two
+    _Surds or in a product with 0 or another _Surd; those results are the
+    plain int a when b cancels, so the arithmetic after them is int
+    arithmetic.  Every other result is a _Surd.
     """
 
     __slots__ = ("a", "b", "d")
@@ -260,26 +295,31 @@ class _Surd:
         self.a, self.b, self.d = a, b, d
 
     def __neg__(self):
-        return _surd(-self.a, -self.b, self.d)
+        return _Surd(-self.a, -self.b, self.d)
 
     def __add__(self, other):
         if type(other) is int:
-            return _surd(self.a + other, self.b, self.d)
-        return _surd(self.a + other.a, self.b + other.b, self.d)
+            return _Surd(self.a + other, self.b, self.d)
+        a, b = self.a + other.a, self.b + other.b
+        return _Surd(a, b, self.d) if b else a
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -other
+        if type(other) is int:
+            return _Surd(self.a - other, self.b, self.d)
+        a, b = self.a - other.a, self.b - other.b
+        return _Surd(a, b, self.d) if b else a
 
     def __rsub__(self, other):
-        return _surd(other - self.a, -self.b, self.d)
+        return _Surd(other - self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if type(other) is int:
-            return _surd(self.a * other, self.b * other, self.d)
-        a, b = other.a, other.b
-        return _surd(self.a * a + self.b * b * self.d, self.a * b + self.b * a, self.d)
+            return _Surd(self.a * other, self.b * other, self.d) if other else 0
+        d = self.d
+        a, b = self.a * other.a + self.b * other.b * d, self.a * other.b + self.b * other.a
+        return _Surd(a, b, d) if b else a
 
     __rmul__ = __mul__
 
@@ -306,14 +346,18 @@ def _sample_point(head: Sequence[int]) -> tuple | None:
     which case s stands for sqrt(D) and every entry is an integer.
     """
     sigma = sum(head)
-    disc = 3 * sigma * (4 * sum(h**3 for h in head) - sigma**3)
-    if sigma == 0 or disc < 0:
+    if sigma == 0:
+        return None
+    disc = 3 * sigma * (4 * sum([h * h * h for h in head]) - sigma * sigma * sigma)
+    if disc < 0:
         return None
     root = isqrt(disc)
     if root * root != disc:
         root = _Surd(0, 1, disc)
     centre = -3 * sigma * sigma
-    return tuple(6 * sigma * h for h in head) + (centre + root, centre - root)
+    scale = 6 * sigma
+    h0, h1, h2, h3 = head
+    return (scale * h0, scale * h1, scale * h2, scale * h3, centre + root, centre - root)
 
 
 @dataclass(frozen=True)
@@ -340,19 +384,25 @@ def duality_sample_check(sample_count: int, _tolerance=None, seed: int = 0) -> D
     (:func:`_sample_point`), so its quartic residual is exact and must be
     zero.  Samples whose image is zero (the nodes) are skipped, not failed.
 
+    The four coordinates are the next four values of randint(-9, 9) on
+    random.Random(seed), drawn in blocks by :func:`_digits`; the seed must
+    be nonnegative.
+
     The second parameter is ignored: no verdict needs a tolerance, but the
     benchmark in ``bench/`` still passes one positionally.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample")
-    rng = random.Random(seed)
+    _check_seed(seed)
+    digit = _digits(seed).__next__
     samples = exact_samples = skipped = nonzero = 0
     while samples < sample_count:
-        point = _sample_point([rng.randint(-9, 9) for _ in range(4)])
+        point = _sample_point([digit(), digit(), digit(), digit()])
         if point is None:
             continue
         image = gauss_image(point)
-        if all(y == 0 for y in image):
+        # a _Surd entry is never zero, and so is truthy
+        if not any(image):
             skipped += 1
             continue
         if evaluate(Hypersurface.IGUSA_QUARTIC, image) != (0, 0):

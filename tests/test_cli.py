@@ -716,6 +716,25 @@ def test_sample_count_is_checked_before_any_work(capsys, monkeypatch):
     assert calls == []
 
 
+def test_negative_seeds_are_refused_before_any_work(capsys, monkeypatch):
+    # random.Random(-5) draws what Random(5) draws, so --seed -5 used to
+    # print "seed: -5" over the samples of seed 5
+    calls = []
+    monkeypatch.setattr("sixpoint.report._divisor_relations", lambda: calls.append(1))
+    for seed in ("-5", "-1", "abc", "1.5"):
+        for argv in (
+            ["paper-report", "--seed", seed],
+            ["hypersurface", "duality", "--seed", seed],
+            ["hypersurface", "duality", f"--seed={seed}"],
+        ):
+            code, out, last = usage_error(capsys, argv)
+            assert code == 2 and out == "", argv
+            assert last.endswith(f"argument --seed: expected a nonnegative integer, got '{seed}'"), argv
+    assert calls == []
+    code, out, _ = run(capsys, ["hypersurface", "duality", "--samples", "5", "--seed", "0"])
+    assert code == 0 and "seed: 0" in out
+
+
 def test_ambient_dimension_must_be_positive(capsys, stratum_file):
     # the value used to reach the file parser: "expected 0 coordinates, got 3"
     for dim in ("0", "-1"):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -24,7 +25,7 @@ from sixpoint.hypersurfaces import (
     search_extra_singular_points,
     segre_nodes,
 )
-from sixpoint.hypersurfaces import _sample_point, _Surd
+from sixpoint.hypersurfaces import _digits, _sample_point, _Surd
 
 SEGRE = Hypersurface.SEGRE_CUBIC
 IGUSA = Hypersurface.IGUSA_QUARTIC
@@ -131,6 +132,40 @@ def test_random_cubic_points_really_sit_on_the_cubic():
     assert len(points) == 200
     for p in points:
         assert evaluate(SEGRE, p) == (0, 0)
+
+
+def test_random_cubic_points_are_pinned():
+    """SHA-256 of repr(random_cubic_points(200, s)), computed at commit
+    67fe77f, when every digit came from its own randint(-9, 9) call."""
+    pinned = {
+        3: "107fa9fb7969c10af38cbddcebdb62b9fe30bd20e419ba47b9137f23f0c708d7",
+        5: "91b25d5931658c371d4e30f44cd5b2c8e314905dcef527ed4fb953993b5f232d",
+        11: "ba0c59d11cbd9ee033c3931bc69e0198d985e2500c6c452ee5b87ff9cae1e59e",
+    }
+    for seed, digest in pinned.items():
+        drawn = repr(random_cubic_points(200, seed)).encode()
+        assert hashlib.sha256(drawn).hexdigest() == digest, seed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1, 2**64 + 3])
+def test_block_digits_are_the_randint_stream(seed):
+    # 3,000 draws span about 80 blocks of 64 Mersenne Twister outputs
+    rng = random.Random(seed)
+    digits = _digits(seed)
+    assert [next(digits) for _ in range(3000)] == [rng.randint(-9, 9) for _ in range(3000)]
+
+
+def test_samplers_refuse_negative_seeds():
+    # Random(-s) is seeded like Random(s): a negative seed would only
+    # relabel the draws of its absolute value
+    for call in (
+        lambda: random_cubic_points(5, -5),
+        lambda: search_extra_singular_points(5, -5),
+        lambda: duality_sample_check(5, seed=-5),
+    ):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -5"):
+            call()
+    assert random_cubic_points(5, 0) and duality_sample_check(5, seed=0).passed
 
 
 def test_singularity_matches_the_jacobian_rank():
@@ -343,9 +378,13 @@ def test_sample_point_examples():
     assert (x.a, x.b, x.d) == (-3, 1, 3681) and (y.a, y.b) == (-3, -1)
 
 
+coefficients = st.integers(-10**6, 10**6)
+
+
 @settings(deadline=None, max_examples=200)
 @given(
-    st.tuples(*[st.integers(-10**6, 10**6)] * 4),
+    # a live _Surd has a nonzero sqrt(d) part
+    st.tuples(coefficients, coefficients.filter(bool), coefficients, coefficients.filter(bool)),
     st.integers(2, 500).filter(lambda d: isqrt(d) ** 2 != d),
     st.integers(0, 5),
 )
@@ -362,12 +401,16 @@ def test_surd_arithmetic_matches_sympy(parts, d, exponent):
     assert agrees(x * y, sx * sy)
     assert agrees(x + y, sx + sy) and agrees(x - y, sx - sy)
     assert agrees(3 * x - c, 3 * sx - c) and agrees(c - x, c - sx) and agrees(c + x, c + sx)
+    assert agrees(x - c, sx - c) and agrees(x + c, sx + c) and agrees(-x, -sx)
     assert agrees(x**exponent, sx**exponent)
     assert (x == y) == (a == c and b == e)
-    assert (x == a) == (b == 0)
-    # a result whose sqrt(d) part is zero is a plain int
-    for value in (x * y, x + y, x - y, 3 * x - c, c - x, c + x, x**exponent):
-        assert _parts(value)[1] != 0 or type(value) is int
+    assert x != a
+    # every _Surd an operator returns has a nonzero sqrt(d) part; a result
+    # whose sqrt(d) part is zero is a plain int
+    for value in (x * y, x + y, x - y, 3 * x - c, c - x, c + x, x - c, x + c, -x, x * c, c * x, x**exponent):
+        assert type(value) is int or (type(value) is _Surd and value.b != 0)
+    assert type(x * 0) is int and x * 0 == 0
+    assert type(0 * x) is int and 0 * x == 0
     conjugate = _Surd(a, -b, d)
     for value in (x - x, x * conjugate, x**0, x + -x, (c + x) + (-x), x + (c - x) - c):
         assert type(value) is int
