@@ -4,12 +4,16 @@ Subcommands: ``divisor``, ``git``, ``hypersurface``, ``m2``,
 ``paper-report``.  Each action of ``divisor``, ``git`` and ``hypersurface``
 has its own argparse parser that declares exactly the flags the action
 reads, so ``sixpoint <command> <action> -h`` lists them and argparse rejects
-any other flag.  A cold start pays only for the command it runs: each
-command imports its library modules when it runs, and only the parser of
-the command that argv names gets its actions and flags (``sixpoint -h``
-still lists every command).  Exit codes: 0 on success, 1 when a
-verification fails (the report battery or the duality sampler), 2 on usage
-or parse errors, so the report doubles as a CI gate.  Identical invocations
+any other flag.  Each action (and ``m2`` and ``paper-report``) is one
+function, which its parser sets as ``run``: it returns the text lines and
+the JSON payload, both rendered from the values it computes once, and
+``main`` prints one of them, the payload under ``--json``.  A cold start
+pays only for the command it runs: each action imports its library
+modules when it runs, and only the parser of the command that argv names
+gets its actions and flags (``sixpoint -h`` still lists every command).
+Exit codes: 0 on success, 1 when a verification fails (a payload with
+``"pass": false``, from the report battery or the duality sampler), 2 on
+usage or parse errors, so the report doubles as a CI gate.  Identical invocations
 produce byte-identical output; every rational is rendered exactly as
 ``p/q``.
 
@@ -199,297 +203,237 @@ def _read_file(path: str) -> str:
         raise CLIError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(args, lines: list[str], payload: dict) -> None:
-    if args.json:
-        import json
-
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+def _listed(numbers) -> str:
+    return ",".join(map(str, numbers))
 
 
-def _divisor_payload(div: SymmetricDivisor) -> dict:
-    return {
-        "n": div.n,
-        "divisor": str(div),
-        "coefficients": {
-            f"B{i}": str(div.coefficient(i)) for i in range(2, div.n // 2 + 1)
-        },
-    }
+def _divisor_eval(args) -> tuple[list[str], dict]:
+    div = parse_divisor_expression(args.expr, args.n)
+    coefficients = {f"B{i}": str(div.coefficient(i)) for i in range(2, div.n // 2 + 1)}
+    lines = [f"n: {div.n}", f"D = {div}"] + [f"{b}: {c}" for b, c in coefficients.items()]
+    return lines, {"n": div.n, "divisor": str(div), "coefficients": coefficients}
 
 
-def _cmd_divisor(args) -> int:
-    from .divisors import (
-        FCurve, intersect_c_curve, intersect_f_curve, mori_model, stable_base_locus,
-    )
+def _divisor_intersect(args) -> tuple[list[str], dict]:
+    from .divisors import FCurve, intersect_c_curve, intersect_f_curve
 
     div = parse_divisor_expression(args.expr, args.n)
-    if args.action == "eval":
-        lines = [f"n: {div.n}", f"D = {div}"] + [
-            f"B{i}: {div.coefficient(i)}" for i in range(2, div.n // 2 + 1)
-        ]
-        payload = _divisor_payload(div)
-    elif args.action == "intersect":
-        curve = _parse_curve(args.curve)
-        if isinstance(curve, FCurve):
-            value = intersect_f_curve(div, curve)
-        else:
-            value = intersect_c_curve(div, curve)
-        lines = [f"D = {div}", f"curve: {curve}", f"intersection: {value}"]
-        payload = {"divisor": str(div), "curve": str(curve), "intersection": str(value)}
-    elif args.action == "chamber":
-        rep = mori_model(div)
-        lines = [
-            f"D = {div}",
-            f"model: {rep.model.value}",
-            f"stable base locus: {rep.stable_base_locus.value}",
-            f"wall: {str(rep.boundary_case).lower()}",
-        ]
-        payload = {
-            "divisor": str(div),
-            "model": rep.model.value,
-            "stableBaseLocus": rep.stable_base_locus.value,
-            "boundaryCase": rep.boundary_case,
-        }
-    else:  # baselocus
-        locus = stable_base_locus(div)
-        lines = [f"D = {div}", f"stable base locus: {locus.value}"]
-        payload = {"divisor": str(div), "stableBaseLocus": locus.value}
-    _emit(args, lines, payload)
-    return 0
+    curve = _parse_curve(args.curve)
+    intersect = intersect_f_curve if isinstance(curve, FCurve) else intersect_c_curve
+    value = intersect(div, curve)
+    lines = [f"D = {div}", f"curve: {curve}", f"intersection: {value}"]
+    return lines, {"divisor": str(div), "curve": str(curve), "intersection": str(value)}
 
 
-def _witness_lines(verdict) -> list[str]:
-    out = []
-    for w in verdict.witnesses:
-        marks = ",".join(str(i + 1) for i in w.marks)
-        kind = "violation" if w.violation else "equality"
-        out.append(f"witness: dim {w.dim} marks {marks} weight {w.weight} {kind}")
-    return out
+def _divisor_chamber(args) -> tuple[list[str], dict]:
+    from .divisors import mori_model
 
-
-def _witness_payload(verdict) -> list[dict]:
-    return [
-        {
-            "dim": w.dim,
-            "marks": [i + 1 for i in w.marks],
-            "weight": str(w.weight),
-            "violation": w.violation,
-        }
-        for w in verdict.witnesses
+    div = parse_divisor_expression(args.expr, args.n)
+    rep = mori_model(div)
+    model, locus, wall = rep.model.value, rep.stable_base_locus.value, rep.boundary_case
+    lines = [
+        f"D = {div}",
+        f"model: {model}",
+        f"stable base locus: {locus}",
+        f"wall: {str(wall).lower()}",
     ]
+    payload = {"divisor": str(div), "model": model, "stableBaseLocus": locus, "boundaryCase": wall}
+    return lines, payload
 
 
-def _config_lines(config: PointConfiguration) -> list[str]:
-    return [" ".join(str(x) for x in p) for p in config.points]
+def _divisor_baselocus(args) -> tuple[list[str], dict]:
+    from .divisors import stable_base_locus
+
+    div = parse_divisor_expression(args.expr, args.n)
+    locus = stable_base_locus(div).value
+    lines = [f"D = {div}", f"stable base locus: {locus}"]
+    return lines, {"divisor": str(div), "stableBaseLocus": locus}
 
 
-def _cmd_git(args) -> int:
-    from .stability import (
-        OneParameterSubgroup, lies_on_conic, one_parameter_limit, stability_status,
-        stabilizer_dimension, symmetric_weights,
-    )
-    from .strata import classify_stratum, polystable_degeneration, stratum_signature
+def _git_stability(args) -> tuple[list[str], dict]:
+    from .stability import stability_status
 
     config = parse_points_text(_read_file(args.config), args.dim)
-    if args.action == "stability":
-        weights = _load_weights(args, config)
-        verdict = stability_status(config, weights)
-        lines = [
-            f"points: {config.n} in P^{config.d}",
-            f"weights: {','.join(str(w) for w in weights.weights)}",
-            f"status: {verdict.status.value}",
-        ] + _witness_lines(verdict)
-        _emit(
-            args,
-            lines,
-            {
-                "n": config.n,
-                "d": config.d,
-                "weights": [str(w) for w in weights.weights],
-                "status": verdict.status.value,
-                "witnesses": _witness_payload(verdict),
-            },
-        )
-        return 0
-    if args.action == "stratum":
-        if config.d != 2 or config.n != 6:
-            raise CLIError("strata I-XI are defined for six points in the plane")
-        weights = _load_weights(args, config)
-        if weights != symmetric_weights(6, 2):
-            raise CLIError("strata I-XI are defined for the symmetric weights")
-        verdict = stability_status(config, weights)
-        sig = stratum_signature(config)
-        label = classify_stratum(sig, verdict)
-        stab = stabilizer_dimension(config)
-        lines = [
-            f"status: {verdict.status.value}",
-            f"stratum: {label}",
-            f"stabilizer dimension: {stab}",
-            "coincidence: "
-            + " ".join("{" + ",".join(str(i + 1) for i in cls) + "}" for cls in sig.coincidence),
-        ]
-        for rec in sig.lines:
-            marks = ",".join(str(i + 1) for i in rec.marks)
-            lines.append(
-                f"line: marks {marks} ({rec.support} points, weight {rec.weighted})"
-            )
-        _emit(
-            args,
-            lines,
-            {
-                "status": verdict.status.value,
-                "stratum": label,
-                "stabilizerDimension": stab,
-                "coincidence": [[i + 1 for i in cls] for cls in sig.coincidence],
-                "lines": [
-                    {
-                        "marks": [i + 1 for i in rec.marks],
-                        "support": rec.support,
-                        "weighted": rec.weighted,
-                    }
-                    for rec in sig.lines
-                ],
-            },
-        )
-        return 0
-    if args.action == "limit":
-        try:
-            weights = [int(w) for w in _csv_fields(args.lps, "--lps")]
-            subgroup = OneParameterSubgroup(weights)
-        except ValueError as exc:
-            raise CLIError(f"bad subgroup weights {args.lps!r}: {exc}") from exc
-        limit = one_parameter_limit(config, subgroup)
-        lines = [f"# limit under subgroup weights ({args.lps})"] + _config_lines(limit)
-        _emit(
-            args,
-            lines,
-            {
-                "subgroup": weights,
-                "points": [[str(x) for x in p] for p in limit.points],
-            },
-        )
-        return 0
-    if args.action == "degenerate":
-        closed, label = polystable_degeneration(config)
-        lines = [f"stratum: {label}", "# closed-orbit configuration"] + _config_lines(closed)
-        _emit(
-            args,
-            lines,
-            {
-                "stratum": label,
-                "points": [[str(x) for x in p] for p in closed.points],
-            },
-        )
-        return 0
-    # conic
-    answer = lies_on_conic(config)
-    _emit(args, [f"on conic: {str(answer).lower()}"], {"onConic": answer})
-    return 0
+    weights = _load_weights(args, config)
+    verdict = stability_status(config, weights)
+    values = [str(w) for w in weights.weights]
+    lines = [
+        f"points: {config.n} in P^{config.d}",
+        f"weights: {','.join(values)}",
+        f"status: {verdict.status.value}",
+    ]
+    witnesses = []
+    for w in verdict.witnesses:
+        marks, weight = [i + 1 for i in w.marks], str(w.weight)
+        kind = "violation" if w.violation else "equality"
+        lines.append(f"witness: dim {w.dim} marks {_listed(marks)} weight {weight} {kind}")
+        witnesses.append({"dim": w.dim, "marks": marks, "weight": weight, "violation": w.violation})
+    payload = {
+        "n": config.n,
+        "d": config.d,
+        "weights": values,
+        "status": verdict.status.value,
+        "witnesses": witnesses,
+    }
+    return lines, payload
+
+
+def _git_stratum(args) -> tuple[list[str], dict]:
+    from .stability import stability_status, stabilizer_dimension, symmetric_weights
+    from .strata import classify_stratum, stratum_signature
+
+    config = parse_points_text(_read_file(args.config), args.dim)
+    if config.d != 2 or config.n != 6:
+        raise CLIError("strata I-XI are defined for six points in the plane")
+    weights = _load_weights(args, config)
+    if weights != symmetric_weights(6, 2):
+        raise CLIError("strata I-XI are defined for the symmetric weights")
+    verdict = stability_status(config, weights)
+    sig = stratum_signature(config)
+    label = classify_stratum(sig, verdict)
+    stab = stabilizer_dimension(config)
+    coincidence = [[i + 1 for i in cls] for cls in sig.coincidence]
+    lines = [
+        f"status: {verdict.status.value}",
+        f"stratum: {label}",
+        f"stabilizer dimension: {stab}",
+        "coincidence: " + " ".join("{" + _listed(c) + "}" for c in coincidence),
+    ]
+    records = []
+    for rec in sig.lines:
+        marks = [i + 1 for i in rec.marks]
+        support, weighted = rec.support, rec.weighted
+        lines.append(f"line: marks {_listed(marks)} ({support} points, weight {weighted})")
+        records.append({"marks": marks, "support": support, "weighted": weighted})
+    payload = {
+        "status": verdict.status.value,
+        "stratum": label,
+        "stabilizerDimension": stab,
+        "coincidence": coincidence,
+        "lines": records,
+    }
+    return lines, payload
+
+
+def _git_limit(args) -> tuple[list[str], dict]:
+    from .stability import OneParameterSubgroup, one_parameter_limit
+
+    config = parse_points_text(_read_file(args.config), args.dim)
+    try:
+        weights = [int(w) for w in _csv_fields(args.lps, "--lps")]
+        subgroup = OneParameterSubgroup(weights)
+    except ValueError as exc:
+        raise CLIError(f"bad subgroup weights {args.lps!r}: {exc}") from exc
+    points = [[str(x) for x in p] for p in one_parameter_limit(config, subgroup).points]
+    lines = [f"# limit under subgroup weights ({args.lps})"] + [" ".join(p) for p in points]
+    return lines, {"subgroup": weights, "points": points}
+
+
+def _git_degenerate(args) -> tuple[list[str], dict]:
+    from .strata import polystable_degeneration
+
+    closed, label = polystable_degeneration(parse_points_text(_read_file(args.config), args.dim))
+    points = [[str(x) for x in p] for p in closed.points]
+    lines = [f"stratum: {label}", "# closed-orbit configuration"] + [" ".join(p) for p in points]
+    return lines, {"stratum": label, "points": points}
+
+
+def _git_conic(args) -> tuple[list[str], dict]:
+    from .stability import lies_on_conic
+
+    answer = lies_on_conic(parse_points_text(_read_file(args.config), args.dim))
+    return [f"on conic: {str(answer).lower()}"], {"onConic": answer}
 
 
 # --surface value -> Hypersurface member name
 _SURFACES = {"segre": "SEGRE_CUBIC", "igusa": "IGUSA_QUARTIC"}
 
 
-def _cmd_hypersurface(args) -> int:
-    from .hypersurfaces import (
-        Hypersurface, duality_sample_check, evaluate, is_singular_point, line_intersections,
-        pair_partition_lines, segre_nodes,
-    )
+def _surface_point(args):
+    """The ``--surface`` and the checked ``--point`` of ``eval`` and ``singular``."""
+    from .hypersurfaces import Hypersurface
 
-    if args.action in ("eval", "singular"):
-        surface = Hypersurface[_SURFACES[args.surface]]
-        coords = _parse_csv_rationals(args.point, "point", "--point")
-        if len(coords) != 6:
-            raise CLIError(f"point needs 6 coordinates, got {len(coords)}")
-        if not any(coords):
-            raise CLIError("zero vector is not a projective point")
-        if args.action == "eval":
-            linear, form = evaluate(surface, coords)
-            _emit(
-                args,
-                [
-                    f"surface: {surface.value}",
-                    f"linear form: {linear}",
-                    f"degree form: {form}",
-                ],
-                {
-                    "surface": surface.value,
-                    "linearForm": str(linear),
-                    "degreeForm": str(form),
-                },
-            )
-            return 0
-        singular = is_singular_point(surface, coords)
-        _emit(
-            args,
-            [f"surface: {surface.value}", f"singular: {str(singular).lower()}"],
-            {"surface": surface.value, "singular": singular},
-        )
-        return 0
-    if args.action == "lines":
-        lines = pair_partition_lines()
-        crossings = line_intersections()
-        per_line = {i: sum(i in t for t in crossings.values()) for i in range(len(lines))}
-        meets = sorted(set(per_line.values()))
-        through_counts = sorted({len(t) for t in crossings.values()})
-        out = [f"{len(lines)} pair-partition lines on the quartic"]
-        out += [f"L{i + 1:02d}: {line}" for i, line in enumerate(lines)]
-        out.append(
-            "incidence: each line meets the others in "
-            + "/".join(str(v) for v in meets)
-            + " points; each intersection point lies on "
-            + "/".join(str(v) for v in through_counts)
-            + " lines"
-        )
-        _emit(
-            args,
-            out,
-            {
-                "count": len(lines),
-                "lines": [str(line) for line in lines],
-                "intersectionPointsPerLine": meets,
-                "linesPerIntersectionPoint": through_counts,
-            },
-        )
-        return 0
-    if args.action == "nodes":
-        nodes = segre_nodes()
-        out = [f"{len(nodes)} nodes on the cubic"]
-        out += [" ".join(str(x) for x in node) for node in nodes]
-        _emit(
-            args,
-            out,
-            {"count": len(nodes), "nodes": [[str(x) for x in node] for node in nodes]},
-        )
-        return 0
-    # duality
+    surface = Hypersurface[_SURFACES[args.surface]]
+    coords = _parse_csv_rationals(args.point, "point", "--point")
+    if len(coords) != 6:
+        raise CLIError(f"point needs 6 coordinates, got {len(coords)}")
+    if not any(coords):
+        raise CLIError("zero vector is not a projective point")
+    return surface, coords
+
+
+def _hypersurface_eval(args) -> tuple[list[str], dict]:
+    from .hypersurfaces import evaluate
+
+    surface, coords = _surface_point(args)
+    linear, form = evaluate(surface, coords)
+    lines = [f"surface: {surface.value}", f"linear form: {linear}", f"degree form: {form}"]
+    return lines, {"surface": surface.value, "linearForm": str(linear), "degreeForm": str(form)}
+
+
+def _hypersurface_singular(args) -> tuple[list[str], dict]:
+    from .hypersurfaces import is_singular_point
+
+    surface, coords = _surface_point(args)
+    singular = is_singular_point(surface, coords)
+    lines = [f"surface: {surface.value}", f"singular: {str(singular).lower()}"]
+    return lines, {"surface": surface.value, "singular": singular}
+
+
+def _hypersurface_lines(args) -> tuple[list[str], dict]:
+    from .hypersurfaces import line_intersections, pair_partition_lines
+
+    names = [str(line) for line in pair_partition_lines()]
+    through = line_intersections().values()
+    meets = sorted({sum(i in t for t in through) for i in range(len(names))})
+    through_counts = sorted({len(t) for t in through})
+    lines = [f"{len(names)} pair-partition lines on the quartic"]
+    lines += [f"L{i:02d}: {name}" for i, name in enumerate(names, start=1)]
+    lines.append(
+        f"incidence: each line meets the others in {'/'.join(map(str, meets))} points;"
+        f" each intersection point lies on {'/'.join(map(str, through_counts))} lines"
+    )
+    payload = {
+        "count": len(names),
+        "lines": names,
+        "intersectionPointsPerLine": meets,
+        "linesPerIntersectionPoint": through_counts,
+    }
+    return lines, payload
+
+
+def _hypersurface_nodes(args) -> tuple[list[str], dict]:
+    from .hypersurfaces import segre_nodes
+
+    nodes = [[str(x) for x in node] for node in segre_nodes()]
+    lines = [f"{len(nodes)} nodes on the cubic"] + [" ".join(node) for node in nodes]
+    return lines, {"count": len(nodes), "nodes": nodes}
+
+
+def _hypersurface_duality(args) -> tuple[list[str], dict]:
+    from .hypersurfaces import duality_sample_check
+
     report = duality_sample_check(args.samples, seed=args.seed)
-    _emit(
-        args,
-        [
-            f"samples: {report.samples}",
-            f"rational samples: {report.exact_samples}",
-            f"skipped: {report.skipped}",
-            f"nonzero residuals: {report.nonzero_residuals}",
-            f"seed: {report.seed}",
-            f"pass: {str(report.passed).lower()}",
-        ],
-        {
-            "samples": report.samples,
-            "rationalSamples": report.exact_samples,
-            "skipped": report.skipped,
-            "nonzeroResiduals": report.nonzero_residuals,
-            "pass": report.passed,
-            "seed": report.seed,
-        },
-    )
-    return 0 if report.passed else 1
+    lines = [
+        f"samples: {report.samples}",
+        f"rational samples: {report.exact_samples}",
+        f"skipped: {report.skipped}",
+        f"nonzero residuals: {report.nonzero_residuals}",
+        f"seed: {report.seed}",
+        f"pass: {str(report.passed).lower()}",
+    ]
+    payload = {
+        "samples": report.samples,
+        "rationalSamples": report.exact_samples,
+        "skipped": report.skipped,
+        "nonzeroResiduals": report.nonzero_residuals,
+        "pass": report.passed,
+        "seed": report.seed,
+    }
+    return lines, payload
 
 
-def _cmd_m2(args) -> int:
+def _m2(args) -> tuple[list[str], dict]:
     from .genus2 import M2Divisor, Space, hassett_keel_divisor, m2_chamber, pullback_to_m06
 
     stack_flags = args.delta0 is not None or args.delta1 is not None
@@ -501,8 +445,7 @@ def _cmd_m2(args) -> int:
     if args.alpha is not None:
         alpha = _parse_rational_or_fail(args.alpha, "--alpha")
         div = hassett_keel_divisor(alpha)
-        header = [f"alpha: {alpha}"]
-        payload: dict = {"alpha": str(alpha)}
+        lines, payload = [f"alpha: {alpha}"], {"alpha": str(alpha)}
     else:
         if args.lam is None and not stack_flags and not coarse_flags:
             raise CLIError("give --alpha or at least one divisor coefficient flag")
@@ -516,13 +459,12 @@ def _cmd_m2(args) -> int:
         else:
             d0, d1 = coefficient(args.delta0, "--delta0"), coefficient(args.delta1, "--delta1")
         div = M2Divisor(space, coefficient(args.lam, "--lambda"), d0, d1)
-        header = []
-        payload = {}
+        lines, payload = [], {}
     b0, b1 = div.boundary_form()
     basis = ("delta0", "delta1") if div.space == Space.STACK else ("Delta0", "Delta1")
     pulled = pullback_to_m06(div)
     rep = m2_chamber(div)
-    lines = header + [
+    lines += [
         f"space: {div.space.value}",
         f"boundary form: {b0}*{basis[0]} + {b1}*{basis[1]}",
         f"pullback: {pulled}",
@@ -538,11 +480,10 @@ def _cmd_m2(args) -> int:
             "boundaryCase": rep.boundary_case,
         }
     )
-    _emit(args, lines, payload)
-    return 0
+    return lines, payload
 
 
-def _cmd_paper_report(args) -> int:
+def _paper_report(args) -> tuple[list[str], dict]:
     from .report import build_report
 
     report = build_report(duality_samples=args.samples, duality_seed=args.seed)
@@ -561,9 +502,7 @@ def _cmd_paper_report(args) -> int:
         groups.append({"name": group.name, "pass": group.passed, "checks": checks})
     passed = report.total_checks - len(report.failures())
     lines.append(f"summary: {passed}/{report.total_checks} checks passed")
-    payload = {"pass": report.passed, "checks": report.total_checks, "groups": groups}
-    _emit(args, lines, payload)
-    return 0 if report.passed else 1
+    return lines, {"pass": report.passed, "checks": report.total_checks, "groups": groups}
 
 
 def _positive_int(text: str) -> int:
@@ -617,12 +556,11 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     as_json = argparse.ArgumentParser(add_help=False)
     as_json.add_argument("--json", action="store_true")
 
-    def actions(run, parent, *names: str) -> dict:
-        command_parser.set_defaults(run=run)
+    def actions(parent, **runs) -> dict:
         action_parsers = command_parser.add_subparsers(dest="action", required=True)
-        parsers = {name: action_parsers.add_parser(name, parents=[parent]) for name in names}
-        for action_parser in parsers.values():
-            action_parser.set_defaults(leaf=action_parser)
+        parsers = {name: action_parsers.add_parser(name, parents=[parent]) for name in runs}
+        for name, action_parser in parsers.items():
+            action_parser.set_defaults(run=runs[name], leaf=action_parser)
         # argparse takes the value of a flag put before the action for the action
         command_parser.error = lambda message: argparse.ArgumentParser.error(
             command_parser, message + _value_as_choice_hint(argv, parsers, message, "action")
@@ -638,27 +576,36 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
             "with a minus as --expr=-K",
         )
         expr.add_argument("--n", type=int, default=6, help="number of marked points (default 6)")
-        div = actions(_cmd_divisor, expr, "eval", "intersect", "chamber", "baselocus")
+        div = actions(
+            expr, eval=_divisor_eval, intersect=_divisor_intersect, chamber=_divisor_chamber,
+            baselocus=_divisor_baselocus,
+        )
         div["intersect"].add_argument("--curve", required=True, help="F:a,b,c,d or C:j")
     elif command == "git":
         config = argparse.ArgumentParser(add_help=False, parents=[as_json])
         config.add_argument("config", help="configuration file, one point per line")
         config.add_argument("--dim", type=_positive_int, default=2, help="ambient projective dimension (default 2)")
-        git = actions(_cmd_git, config, "stability", "stratum", "limit", "degenerate", "conic")
+        git = actions(
+            config, stability=_git_stability, stratum=_git_stratum, limit=_git_limit,
+            degenerate=_git_degenerate, conic=_git_conic,
+        )
         for name in ("stability", "stratum"):
             weights = git[name].add_mutually_exclusive_group()
             weights.add_argument("--weights", help="comma-separated weights (default symmetric)")
             weights.add_argument("--weights-file", help="file holding comma-separated weights")
         git["limit"].add_argument("--lps", required=True, help="diagonal subgroup weights, e.g. 2,-1,-1")
     elif command == "hypersurface":
-        hyp = actions(_cmd_hypersurface, as_json, "eval", "singular", "lines", "nodes", "duality")
+        hyp = actions(
+            as_json, eval=_hypersurface_eval, singular=_hypersurface_singular,
+            lines=_hypersurface_lines, nodes=_hypersurface_nodes, duality=_hypersurface_duality,
+        )
         for name in ("eval", "singular"):
             hyp[name].add_argument("--surface", required=True, choices=sorted(_SURFACES))
             hyp[name].add_argument("--point", required=True, help="six comma-separated rational coordinates")
         hyp["duality"].add_argument("--samples", type=_positive_int, default=100)
         hyp["duality"].add_argument("--seed", type=_nonnegative_int, default=0)
     elif command == "m2":
-        command_parser.set_defaults(run=_cmd_m2, leaf=command_parser)
+        command_parser.set_defaults(run=_m2, leaf=command_parser)
         command_parser.add_argument("--json", action="store_true")
         command_parser.add_argument("--alpha", help="log-canonical slice parameter p/q")
         command_parser.add_argument("--lambda", dest="lam", help="Hodge class coefficient p/q")
@@ -667,7 +614,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         command_parser.add_argument("--Delta0", help="coarse boundary coefficient p/q")
         command_parser.add_argument("--Delta1", help="coarse boundary coefficient p/q")
     else:  # paper-report
-        command_parser.set_defaults(run=_cmd_paper_report, leaf=command_parser)
+        command_parser.set_defaults(run=_paper_report, leaf=command_parser)
         command_parser.add_argument("--json", action="store_true")
         command_parser.add_argument("--samples", type=_positive_int, default=60, help="duality sample count")
         command_parser.add_argument("--seed", type=_nonnegative_int, default=7)
@@ -706,10 +653,18 @@ def main(argv=None) -> int:
     if unread:
         parser.error(f"unrecognized arguments: {' '.join(unread)}" + _flag_order_hint(args, unread))
     try:
-        return args.run(args)
+        lines, payload = args.run(args)
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        import json
+
+        print(json.dumps(payload, indent=2))
+    else:
+        print("\n".join(lines))
+    # only the two verifications, duality and paper-report, report a "pass"
+    return 1 if payload.get("pass") is False else 0
 
 
 def entry() -> None:

@@ -1,15 +1,16 @@
 """Exact linear algebra.
 
-Every rank, span and inverse comes from one fraction-free elimination over
-the integers, :func:`echelon`: no floating point, no rounding,
-arbitrary-precision integers underneath.  The plane is the exception: its
-lines and its conic test (in ``stability``) and its projective frames (in
-``strata``) are cross products; six points lie on a conic when a bracket
-identity between products of 3 x 3 determinants holds.  Rational input is
-scaled to integers first.  All functions here are pure, so identical inputs
-always give bit-identical outputs.  Vectors are canonicalized (integer
-entries, content 1, first nonzero entry positive) so they can be frozen in
-golden tests.
+Every rank, span, span membership and inverse comes from one fraction-free
+elimination over the integers, :func:`echelon`: no floating point, no
+rounding, arbitrary-precision integers underneath.  A vector lies in a span
+exactly when adding it to the span's echelon rows leaves the rank unchanged.
+The plane is the exception: its lines and its conic test (in ``stability``)
+and its projective frames (in ``strata``) are cross products; six points lie
+on a conic when a bracket identity between products of 3 x 3 determinants
+holds.  Rational input is scaled to integers first.  All functions here are
+pure, so identical inputs always give bit-identical outputs.  Vectors are
+canonicalized (integer entries, content 1, first nonzero entry positive) so
+they can be frozen in golden tests.
 """
 
 from __future__ import annotations
@@ -77,16 +78,6 @@ def integer_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     return ints if g in (0, 1) else tuple(v // g for v in ints)
 
 
-def _reduce(basis: Iterable[tuple[int, tuple[int, ...]]], vec: Sequence[int]) -> Sequence[int]:
-    """Clear the pivot column of every (pivot, row) pair from an integer
-    vector by integer row operations; zero exactly when vec is in their span."""
-    for pivot, row in basis:
-        f = vec[pivot]
-        if f:
-            vec = [row[pivot] * a - f * b for a, b in zip(vec, row)]
-    return vec
-
-
 def echelon(rows: Iterable[Sequence[int]]) -> EchelonForm:
     """Reduced row echelon form of integer rows, without fractions.
 
@@ -122,12 +113,6 @@ def echelon(rows: Iterable[Sequence[int]]) -> EchelonForm:
             break
     pivots = tuple(sorted(basis))
     return tuple(basis[p] for p in pivots), pivots
-
-
-def in_span(form: EchelonForm, vec: Sequence[int]) -> bool:
-    """Whether an integer vector lies in the row space of an echelon form."""
-    rows, pivots = form
-    return not any(_reduce(zip(pivots, rows), vec))
 
 
 def _inverse_up_to_scale(rows: Sequence[Sequence[int]]) -> tuple[IntegerMatrix, int]:

@@ -135,18 +135,13 @@ def pair_partition_lines() -> tuple[PairLine, ...]:
     return tuple(PairLine(m) for m in matchings(tuple(range(6))))
 
 
-def line_point(line: PairLine, a, b, c=None) -> tuple:
-    """The point of the line with pair values (a, b, c); c defaults to
-    -a-b so the result is always on the quartic."""
-    if c is None:
-        c = -a - b
-    if a + b + c != 0:
-        raise ValueError("pair values must sum to zero")
+def line_point(line: PairLine, a, b) -> tuple:
+    """The point of the line with pair values (a, b, -a-b), so the result
+    is always on the quartic."""
     coords = [0] * 6
-    for value, (i, j) in zip((a, b, c), line.pairs):
-        coords[i] = value
-        coords[j] = value
-    if all(x == 0 for x in coords):
+    for value, (i, j) in zip((a, b, -a - b), line.pairs):
+        coords[i] = coords[j] = value
+    if not any(coords):
         raise ValueError("zero vector is not a projective point")
     return tuple(coords)
 
@@ -154,24 +149,21 @@ def line_point(line: PairLine, a, b, c=None) -> tuple:
 def line_intersections() -> dict[tuple[int, ...], tuple[int, ...]]:
     """All pairwise intersection points of the fifteen lines.
 
-    Two lines meet exactly when their pairings share one pair; the merged
-    pairing then forces four coordinates to one value and the shared pair
-    to minus twice that value.  Returns canonical point -> sorted tuple of
-    indices of the lines through it.
+    Two lines meet exactly when their pairings share one pair {i, j}: the
+    other two pairs of each line force the four remaining coordinates to
+    one value, and the sum-zero condition gives coordinates i and j minus
+    twice that value.  That point lies on exactly the three lines whose
+    pairings hold {i, j}, so there is one point per pair.  Returns
+    canonical point -> sorted tuple of indices of the lines through it,
+    with the points in the order of their pairs.
     """
     lines = pair_partition_lines()
-    incidence: dict[tuple[int, ...], set[int]] = {}
-    for a, b in itertools.combinations(range(len(lines)), 2):
-        shared = set(lines[a].pairs) & set(lines[b].pairs)
-        if len(shared) != 1:
-            continue
-        pair = shared.pop()
-        coords = [1] * 6
-        for i in pair:
-            coords[i] = -2
-        point = integer_vector(coords)
-        incidence.setdefault(point, set()).update((a, b))
-    return {point: tuple(sorted(ls)) for point, ls in incidence.items()}
+    return {
+        integer_vector([-2 if k in pair else 1 for k in range(6)]): tuple(
+            n for n, line in enumerate(lines) if pair in line.pairs
+        )
+        for pair in itertools.combinations(range(6), 2)
+    }
 
 
 def segre_nodes() -> tuple[tuple[int, ...], ...]:

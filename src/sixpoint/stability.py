@@ -30,7 +30,7 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .exact import IntegerMatrix, _cleared, _rational, echelon, in_span, integer_vector
+from .exact import IntegerMatrix, _cleared, _rational, echelon, integer_vector
 
 __all__ = [
     "PointConfiguration",
@@ -105,7 +105,8 @@ class PointConfiguration:
         In the plane that is a dot product: distinct canonical points p, q
         are never proportional, so they span the line with normal p x q,
         and r lies on it exactly when (p x q) . r = 0.  For d >= 3 the
-        subset is reduced by :func:`echelon` and tested with :func:`in_span`.
+        subset is reduced by :func:`echelon`, and p lies on its span when
+        adding p to the reduced rows leaves the rank at the subset's size.
 
         A flat is the span of its own marks: they include the points that
         generate it and all lie on it.  So distinct flats carry distinct
@@ -128,10 +129,10 @@ class PointConfiguration:
                     a, b, c = _plane_line(*(support[k] for k in subset))
                     on = [k for k, (x, y, z) in enumerate(support) if a * x + b * y + c * z == 0]
                 else:
-                    span = echelon(support[k] for k in subset)
-                    if len(span[1]) < size:
+                    rows, pivots = echelon(support[k] for k in subset)
+                    if len(pivots) < size:
                         continue
-                    on = [k for k, p in enumerate(support) if k in subset or in_span(span, p)]
+                    on = [k for k, p in enumerate(support) if len(echelon([*rows, p])[1]) == size]
                 covered.update(itertools.combinations(on, size))
                 found.append((size - 1, tuple(i for i, s in enumerate(slots) if s in on)))
         return tuple(found)

@@ -12,7 +12,6 @@ from sixpoint.exact import (
     _inverse_up_to_scale,
     _rational,
     echelon,
-    in_span,
     integer_vector,
     parse_rational,
 )
@@ -65,8 +64,9 @@ def test_echelon_is_a_span_key():
     line = echelon([(1, 0, 1), (0, 1, 1)])
     assert echelon([(1, 1, 2), (1, -1, 0)]) == line
     assert echelon([(3, 1, 4), (1, 0, 1), (2, 1, 3)]) == line
-    assert in_span(line, (5, -7, -2))
-    assert not in_span(line, (0, 0, 1))
+    # membership: adding a vector of the span leaves its form unchanged
+    assert echelon([*line[0], (5, -7, -2)]) == line
+    assert echelon([*line[0], (0, 0, 1)]) != line
 
 
 def test_entry_count_validated():
@@ -175,7 +175,7 @@ integer_rows = st.integers(1, 5).flatmap(
 def test_echelon_property(rows, rng):
     form = echelon(rows)
     assert len(form[1]) == sympy.Matrix(rows).rank()
-    assert all(in_span(form, row) for row in rows)
+    assert all(echelon([*form[0], row]) == form for row in rows)
     # row operations leave the span, hence the canonical form, unchanged
     mixed = [list(row) for row in rows]
     rng.shuffle(mixed)
