@@ -434,6 +434,7 @@ def _hypersurface_duality(args) -> tuple[list[str], dict]:
 
 
 def _m2(args) -> tuple[list[str], dict]:
+    from .divisors import _linear_form
     from .genus2 import M2Divisor, Space, hassett_keel_divisor, m2_chamber, pullback_to_m06
 
     stack_flags = args.delta0 is not None or args.delta1 is not None
@@ -466,7 +467,7 @@ def _m2(args) -> tuple[list[str], dict]:
     rep = m2_chamber(div)
     lines += [
         f"space: {div.space.value}",
-        f"boundary form: {b0}*{basis[0]} + {b1}*{basis[1]}",
+        f"boundary form: {_linear_form(zip((b0, b1), basis))}",
         f"pullback: {pulled}",
         f"model: {rep.model.value}",
         f"wall: {str(rep.boundary_case).lower()}",
@@ -500,15 +501,16 @@ def _paper_report(args) -> tuple[list[str], dict]:
             for c in group.checks
         ]
         groups.append({"name": group.name, "pass": group.passed, "checks": checks})
-    passed = report.total_checks - len(report.failures())
+    passed = sum(c.passed for group in report.groups for c in group.checks)
     lines.append(f"summary: {passed}/{report.total_checks} checks passed")
     return lines, {"pass": report.passed, "checks": report.total_checks, "groups": groups}
 
 
 def _positive_int(text: str) -> int:
     """argparse type for counts and dimensions (``--samples``, ``--dim``), so a
-    bad value is a usage error before any file is read or work is done."""
-    if not text.isdigit() or int(text) < 1:
+    bad value is a usage error before any file is read or work is done.
+    ASCII only: ``str.isdigit`` passes ``'²'`` (int refuses it) and ``'١'``."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -517,7 +519,7 @@ def _nonnegative_int(text: str) -> int:
     """argparse type for ``--seed``: random.Random(-s) is seeded like
     Random(s), so a negative seed would repeat another seed's draws under
     its own name."""
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 

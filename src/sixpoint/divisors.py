@@ -105,22 +105,21 @@ class SymmetricDivisor:
         return f"SymmetricDivisor(n={self.n}, {self})"
 
     def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs, start=2):
-            if c == 0:
-                continue
-            if c == 1:
-                terms.append(f"B{i}")
-            elif c == -1:
-                terms.append(f"-B{i}")
-            else:
-                terms.append(f"{c}*B{i}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return _linear_form((c, f"B{i}") for i, c in enumerate(self.coeffs, start=2))
+
+
+def _linear_form(pairs) -> str:
+    """The nonzero (coefficient, symbol) pairs as ``c*x`` terms joined by
+    `` + `` and `` - ``: a unit coefficient is left off, a negative one's
+    sign becomes the joint, and no terms at all read ``0``."""
+    out = ""
+    for c, symbol in pairs:
+        if c:
+            term = symbol if abs(c) == 1 else f"{abs(c)}*{symbol}"
+            out += (" - " if c < 0 else " + ") + term
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 def boundary(n: int, i: int) -> SymmetricDivisor:

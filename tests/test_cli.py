@@ -701,9 +701,10 @@ def test_tolerance_flag_is_rejected(capsys):
 
 
 def test_sample_count_is_checked_before_any_work(capsys, monkeypatch):
+    # "²" passes str.isdigit and int() refuses it; int() reads "١" as 1
     calls = []
     monkeypatch.setattr("sixpoint.report._divisor_relations", lambda: calls.append(1))
-    for count in ("0", "-3", "abc", "1.5"):
+    for count in ("0", "-3", "abc", "1.5", "²", "١"):
         for argv in (
             ["paper-report", "--samples", count],
             ["hypersurface", "duality", "--samples", count],
@@ -721,7 +722,7 @@ def test_negative_seeds_are_refused_before_any_work(capsys, monkeypatch):
     # print "seed: -5" over the samples of seed 5
     calls = []
     monkeypatch.setattr("sixpoint.report._divisor_relations", lambda: calls.append(1))
-    for seed in ("-5", "-1", "abc", "1.5"):
+    for seed in ("-5", "-1", "abc", "1.5", "²", "١"):
         for argv in (
             ["paper-report", "--seed", seed],
             ["hypersurface", "duality", "--seed", seed],
@@ -737,7 +738,7 @@ def test_negative_seeds_are_refused_before_any_work(capsys, monkeypatch):
 
 def test_ambient_dimension_must_be_positive(capsys, stratum_file):
     # the value used to reach the file parser: "expected 0 coordinates, got 3"
-    for dim in ("0", "-1"):
+    for dim in ("0", "-1", "²", "١"):
         for action in ("stratum", "stability", "conic"):
             argv = ["git", action, stratum_file, "--dim", dim]
             with pytest.raises(SystemExit) as exc:

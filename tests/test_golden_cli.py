@@ -4,7 +4,8 @@
 per invocation, its argv, exit code and stdout.  It covers the four
 ``divisor`` actions, ``git stability`` (default weights, inline weights and
 ``--dim 3``), ``git limit`` and ``git conic``, every ``hypersurface``
-action, ``m2`` in its three forms and ``paper-report --samples 20``.  A
+action, ``m2`` in its three forms, and ``paper-report`` both with its defaults
+(60 samples, seed 7: the report the bench runs) and with ``--samples 20``.  A
 ``CONFIG`` argument names the file of the case's configuration.  Like
 ``golden_git.json``, the file is data, not a snapshot this test may
 rewrite: a change in these bytes is a change in the command-line output and
