@@ -11,13 +11,12 @@ All coefficients are exact rationals, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
 from typing import Iterator, Mapping
 
-from .exact import _cleared, _rational
+from .exact import _cleared, _rational, _Value
 
 __all__ = [
     "SymmetricDivisor",
@@ -162,8 +161,7 @@ def canonical_polarization() -> SymmetricDivisor:
     return Fraction(-1, 2) * canonical_divisor(6)
 
 
-@dataclass(frozen=True)
-class FCurve:
+class FCurve(_Value):
     """An F-curve class, recorded by its partition sizes (a1,a2,a3,a4).
 
     Only the four part sizes matter against symmetric divisors; the
@@ -186,16 +184,16 @@ class FCurve:
         return "F(" + ",".join(str(p) for p in self.partition) + ")"
 
 
-@dataclass(frozen=True)
-class CCurve:
+class CCurve(_Value):
     """The sliding-node curve family C_j: a j-pointed component with the
     attaching node of the complementary tail moving along it."""
 
     j: int
 
-    def __post_init__(self):
-        if self.j < 2:
-            raise ValueError(f"curve index must be at least 2, got {self.j}")
+    def __init__(self, j: int):
+        if j < 2:
+            raise ValueError(f"curve index must be at least 2, got {j}")
+        object.__setattr__(self, "j", j)
 
     def __str__(self) -> str:
         return f"C{self.j}"
@@ -281,8 +279,10 @@ class BaseLocus(str, Enum):
     WHOLE_DIVISOR = "WholeDivisor"
 
 
-@dataclass(frozen=True)
-class ChamberReport:
+class ChamberReport(_Value):
+    """The chamber of a symmetric divisor: the birational model it maps
+    to, its stable base locus, and whether it lies on a chamber wall."""
+
     model: Model
     stable_base_locus: BaseLocus
     boundary_case: bool

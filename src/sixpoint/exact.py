@@ -11,6 +11,14 @@ holds.  Rational input is scaled to integers first.  All functions here are
 pure, so identical inputs always give bit-identical outputs.  Vectors are
 canonicalized (integer entries, content 1, first nonzero entry positive) so
 they can be frozen in golden tests.
+
+Also here is ``_Value``, the base of the library's immutable value types.
+A subclass lists its fields as class annotations; the base gives equality
+with instances of the same class whose fields are equal, a hash of the
+tuple of fields, a ``Name(field=value, ...)`` repr, and refuses assignment
+and deletion with ``AttributeError``.  A subclass that declares fields and
+no ``__init__`` gets one compiled for them; one with its own ``__init__``
+sets its fields with ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -34,6 +42,42 @@ __all__ = [
     "parse_rational",
     "integer_vector",
 ]
+
+
+class _Value:
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields += own
+        if own and "__init__" not in cls.__dict__:
+            body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
+            namespace = {"_set": object.__setattr__}
+            exec(f"def __init__(self, {', '.join(cls._fields)}):{body}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -12,12 +12,11 @@ that pullback, so the six-pointed chamber engine is the only one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .divisors import Model, SymmetricDivisor, mori_model
-from .exact import _rational
+from .exact import _rational, _Value
 
 __all__ = [
     "Space",
@@ -35,8 +34,7 @@ class Space(str, Enum):
     COARSE = "CoarseSpace"
 
 
-@dataclass(frozen=True)
-class M2Divisor:
+class M2Divisor(_Value):
     """A divisor written in the Hodge + boundary basis of the stack
     (lambda, delta0, delta1) or of the coarse space (lambda, Delta0,
     Delta1)."""
@@ -84,8 +82,10 @@ _RELABEL = {
 }
 
 
-@dataclass(frozen=True)
-class M2ChamberReport:
+class M2ChamberReport(_Value):
+    """The chamber of a genus-two divisor, read through its six-pointed
+    pullback: the model it maps to, and whether it lies on a wall."""
+
     model: M2Model
     boundary_case: bool
 

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .exact import integer_vector
+from .exact import _Value, integer_vector
 
 __all__ = [
     "Hypersurface",
@@ -108,8 +107,7 @@ def is_singular_point(surface: Hypersurface, coords: Sequence[Fraction | int]) -
     return len(set(gradient(surface, point))) == 1
 
 
-@dataclass(frozen=True)
-class PairLine:
+class PairLine(_Value):
     """A line of the quartic: coordinates constant on three index pairs,
     with the three pair values summing to zero."""
 
@@ -352,8 +350,7 @@ def _sample_point(head: Sequence[int]) -> tuple | None:
     return (scale * h0, scale * h1, scale * h2, scale * h3, centre + root, centre - root)
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(_Value):
     """Counts of a duality sampling run.  ``exact_samples`` counts the
     samples with rational coordinates; the others lie in Q(sqrt(D)).
     Every residual is exact, and the run passes when none is nonzero."""

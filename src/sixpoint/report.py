@@ -15,11 +15,11 @@ place that compares the two sides, as strings.  The whole battery backs the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import divisors, genus2, hypersurfaces, strata
 from .divisors import CCurve, FCurve
+from .exact import _Value
 from .genus2 import M2Divisor, Space
 from .hypersurfaces import Hypersurface
 from .stability import stability_status, stabilizer_dimension, symmetric_weights
@@ -27,8 +27,9 @@ from .stability import stability_status, stabilizer_dimension, symmetric_weights
 __all__ = ["Check", "CheckGroup", "PaperReport", "build_report"]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Value):
+    """A published value and the computed one, both as strings."""
+
     name: str
     expected: str
     computed: str
@@ -38,8 +39,9 @@ class Check:
         return self.expected == self.computed
 
 
-@dataclass(frozen=True)
-class CheckGroup:
+class CheckGroup(_Value):
+    """The checks of one part of the paper."""
+
     name: str
     checks: tuple[Check, ...]
 
@@ -48,8 +50,9 @@ class CheckGroup:
         return all(c.passed for c in self.checks)
 
 
-@dataclass(frozen=True)
-class PaperReport:
+class PaperReport(_Value):
+    """Every check group of the paper report."""
+
     groups: tuple[CheckGroup, ...]
 
     @property
@@ -184,7 +187,7 @@ def _duality(samples: int, seed: int) -> CheckGroup:
     on_quartic = all(hypersurfaces.evaluate(Hypersurface.IGUSA_QUARTIC, p) == (0, 0) for p in images)
     return _group("duality", [
         ("pair-pattern images on the quartic", True, on_quartic),
-        (f"sampled images exactly on the quartic (seed {seed})", True,
+        (f"sampled images exactly on the quartic ({samples} samples, seed {seed})", True,
          hypersurfaces.duality_sample_check(samples, seed=seed).passed),
     ])
 

@@ -23,14 +23,13 @@ lookup.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .exact import IntegerMatrix, _cleared, _rational, echelon, integer_vector
+from .exact import IntegerMatrix, _cleared, _rational, _Value, echelon, integer_vector
 
 __all__ = [
     "PointConfiguration",
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
+class PointConfiguration(_Value):
     """An ordered tuple of n points of P^d with exact coordinates.
 
     Every point is canonically scaled: integer coordinates, content 1,
@@ -143,8 +141,7 @@ def _plane_line(p: Sequence[int], q: Sequence[int]) -> tuple[int, int, int]:
     return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(_Value):
     """A normalized linearization: weights a_i with 0 < a_i <= 1 summing to
     d + 1, i.e. a point of the hypersimplex of effective linearizations."""
 
@@ -190,8 +187,7 @@ class Status(str, Enum):
     UNSTABLE = "Unstable"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Value):
     """A tight or violated subspace: its dimension, the indices of all
     marks lying on it, and their total weight."""
 
@@ -201,8 +197,7 @@ class Witness:
     violation: bool
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(_Value):
     """The status and every tight or violated flat, sorted by (dim, marks)."""
 
     status: Status
@@ -295,8 +290,7 @@ def stabilizer_dimension(config: PointConfiguration) -> int:
     return len(set(label)) + m * (m - len(pivots)) - 1
 
 
-@dataclass(frozen=True)
-class OneParameterSubgroup:
+class OneParameterSubgroup(_Value):
     """A diagonal one-parameter subgroup, acting by t^{w_i} on coordinate i.
 
     The weights are integers and must not all be equal, since a constant

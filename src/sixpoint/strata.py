@@ -19,10 +19,9 @@ tight point or line are cross products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .exact import IntegerMatrix
+from .exact import IntegerMatrix, _Value
 from .stability import (
     PointConfiguration,
     StabilityVerdict,
@@ -68,8 +67,7 @@ _CLOSED_STRATA = ("I", "VII")
 STRATUM_LABELS = tuple(_TEMPLATES)
 
 
-@dataclass(frozen=True)
-class LineRecord:
+class LineRecord(_Value):
     """A maximal collinear support with at least three distinct points:
     the marks on the line, how many distinct points they occupy, and the
     multiplicity-weighted mark count."""
@@ -79,8 +77,7 @@ class LineRecord:
     weighted: int
 
 
-@dataclass(frozen=True)
-class StratumSignature:
+class StratumSignature(_Value):
     """Coincidence partition of the marks plus the recorded lines."""
 
     coincidence: tuple[tuple[int, ...], ...]

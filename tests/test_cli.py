@@ -683,7 +683,7 @@ def test_hypersurface_duality_command(capsys, monkeypatch):
     assert code == 1 and "pass: false" in out and "nonzero residuals: 100" in out
     code, out, _ = run(capsys, ["paper-report", "--samples", "20"])
     assert code == 1
-    assert "FAIL sampled images exactly on the quartic (seed 7)" in out
+    assert "FAIL sampled images exactly on the quartic (20 samples, seed 7)" in out
     assert "FAIL pair-pattern images on the quartic" in out
 
 

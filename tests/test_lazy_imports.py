@@ -2,7 +2,8 @@
 
 ``import sixpoint`` loads no submodule; each public name imports its
 submodule on first use, and each CLI command loads only the modules it
-runs.  The checks compare module sets, not timings.
+runs.  No command loads ``dataclasses`` or ``inspect``.  The checks
+compare module sets, not timings.
 """
 
 import importlib
@@ -48,8 +49,8 @@ ALL = [name for names in PUBLIC.values() for name in names]
 STRATUM_I = "1 0 0\n1 0 0\n0 1 0\n0 1 0\n0 0 1\n0 0 1\n"
 
 
-def loaded_submodules(*args: str) -> set[str]:
-    """The sixpoint submodules that ``python -X importtime <args>`` imports."""
+def loaded_modules(*args: str) -> set[str]:
+    """Every module that ``python -X importtime <args>`` imports."""
     env = dict(os.environ, PYTHONPATH=str(Path(sixpoint.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
@@ -60,11 +61,16 @@ def loaded_submodules(*args: str) -> set[str]:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-500:]
-    names = {
+    return {
         line.rsplit("|", 1)[-1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
+
+
+def loaded_submodules(*args: str) -> set[str]:
+    """The sixpoint submodules that ``python -X importtime <args>`` imports."""
+    names = loaded_modules(*args)
     return {name.removeprefix("sixpoint.") for name in names if name.startswith("sixpoint.")}
 
 
@@ -81,6 +87,26 @@ def test_each_command_loads_only_its_modules(tmp_path):
     assert {"stability", "strata"} <= git
     assert not git & {"hypersurfaces", "genus2", "report"}
     assert loaded_submodules(*cli, "paper-report") == set(PUBLIC)
+
+
+@pytest.mark.parametrize("command", [
+    ["divisor", "chamber", "--expr=-K"],
+    ["m2", "--alpha", "7/10"],
+    ["git", "stratum"],
+    ["git", "degenerate"],
+    ["hypersurface", "duality", "--samples", "5"],
+    ["paper-report"],
+], ids=" ".join)
+def test_no_command_loads_dataclasses_or_inspect(command, tmp_path):
+    # dataclasses imports inspect, which imports ast, dis and tokenize: a
+    # cold command that loads them pays for all four before it starts
+    if command[0] == "git":
+        config = tmp_path / "stratum-i.txt"
+        config.write_text(STRATUM_I, encoding="ascii")
+        command = [*command, str(config)]
+    modules = loaded_modules("-m", "sixpoint.cli", *command)
+    assert "sixpoint.exact" in modules
+    assert not modules & {"dataclasses", "inspect"}
 
 
 def test_the_namespace_lists_every_public_name():
