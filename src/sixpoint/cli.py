@@ -157,6 +157,22 @@ def _csv_fields(text: str, flag: str) -> list[str]:
     return fields
 
 
+# int() also reads other scripts' digits ('٢') and underscores between digits
+_INTEGER_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def _csv_integers(text: str, flag: str) -> list[int]:
+    """The comma-separated fields of a flag's value, each an optionally
+    signed run of ASCII digits."""
+    fields = _csv_fields(text, flag)
+    for position, field in enumerate(fields, start=1):
+        if not _INTEGER_FIELD.fullmatch(field):
+            raise CLIError(
+                f"{flag}: field {position} of {len(fields)} is not an integer: {field!r}"
+            )
+    return [int(field) for field in fields]
+
+
 def _parse_csv_rationals(text: str, context: str, flag: str) -> list[Fraction]:
     if not text.strip():
         raise CLIError(f"{context}: empty list")
@@ -319,8 +335,8 @@ def _git_limit(args) -> tuple[list[str], dict]:
     from .stability import OneParameterSubgroup, one_parameter_limit
 
     config = parse_points_text(_read_file(args.config), args.dim)
+    weights = _csv_integers(args.lps, "--lps")
     try:
-        weights = [int(w) for w in _csv_fields(args.lps, "--lps")]
         subgroup = OneParameterSubgroup(weights)
     except ValueError as exc:
         raise CLIError(f"bad subgroup weights {args.lps!r}: {exc}") from exc
@@ -507,9 +523,10 @@ def _paper_report(args) -> tuple[list[str], dict]:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts and dimensions (``--samples``, ``--dim``), so a
-    bad value is a usage error before any file is read or work is done.
-    ASCII only: ``str.isdigit`` passes ``'²'`` (int refuses it) and ``'١'``."""
+    """argparse type for counts and dimensions (``--samples``, ``--dim``,
+    ``--n``), so a bad value is a usage error before any file is read or
+    work is done.  ASCII only: ``str.isdigit`` passes ``'²'`` (int refuses
+    it) and ``'١'``."""
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -577,7 +594,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
             help="divisor expression, e.g. 'K + 1/3*psi'; write one that starts "
             "with a minus as --expr=-K",
         )
-        expr.add_argument("--n", type=int, default=6, help="number of marked points (default 6)")
+        expr.add_argument("--n", type=_positive_int, default=6, help="number of marked points (default 6)")
         div = actions(
             expr, eval=_divisor_eval, intersect=_divisor_intersect, chamber=_divisor_chamber,
             baselocus=_divisor_baselocus,

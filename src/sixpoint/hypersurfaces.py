@@ -14,10 +14,10 @@ normalized back into the sum-zero hyperplane, lands on the quartic.
 
 Exact operations take rational coordinates.  The singularity test scales
 the point to integers and compares the gradient entries; sampled cubic
-points are built as integers throughout.  The duality sampler's irrational
-points have coordinates a + b sqrt(D) with integers a, b, and are decided
-exactly too; every intermediate value that is rational (the power sums, the
-linear form, the residual) is a plain int.
+points are built as integers throughout.  A duality sample's last two
+coordinates may be irrational, a conjugate pair c +- sqrt(D); the verdict
+reads only power sums of the Gauss image, which are symmetric in the pair
+and hence integers, so every sample is decided in int arithmetic.
 
 Both samplers draw their coordinates from one stream of digits in -9..9,
 the values ``random.Random(seed).randint(-9, 9)`` returns one call at a
@@ -268,86 +268,38 @@ def gauss_image(coords: Sequence) -> tuple:
     return tuple([6 * q - p2 for q in squares])
 
 
-class _Surd:
-    """The number a + b sqrt(d) for integers a, b != 0 and a fixed d > 0
-    that is not a square, so that it is never zero or rational.
-
-    The other operand is an int or a _Surd with the same d.  Since b != 0,
-    a result can lose its sqrt(d) part only in a sum or difference of two
-    _Surds or in a product with 0 or another _Surd; those results are the
-    plain int a when b cancels, so the arithmetic after them is int
-    arithmetic.  Every other result is a _Surd.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: int, b: int, d: int):
-        self.a, self.b, self.d = a, b, d
-
-    def __neg__(self):
-        return _Surd(-self.a, -self.b, self.d)
-
-    def __add__(self, other):
-        if type(other) is int:
-            return _Surd(self.a + other, self.b, self.d)
-        a, b = self.a + other.a, self.b + other.b
-        return _Surd(a, b, self.d) if b else a
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is int:
-            return _Surd(self.a - other, self.b, self.d)
-        a, b = self.a - other.a, self.b - other.b
-        return _Surd(a, b, self.d) if b else a
-
-    def __rsub__(self, other):
-        return _Surd(other - self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        if type(other) is int:
-            return _Surd(self.a * other, self.b * other, self.d) if other else 0
-        d = self.d
-        a, b = self.a * other.a + self.b * other.b * d, self.a * other.b + self.b * other.a
-        return _Surd(a, b, d) if b else a
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        result = 1
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _Surd):
-            return self.a == other.a and self.b == other.b
-        return self.b == 0 and self.a == other
-
-
-def _sample_point(head: Sequence[int]) -> tuple | None:
-    """The cubic point whose first four coordinates are ``head``, scaled
-    by 6 sigma, or None when there is none.
+def _image_sums(head: Sequence[int]) -> tuple | None:
+    """The Gauss image of the cubic point whose first four coordinates are
+    ``head``, scaled by 6 sigma, as integers, or None when there is no real
+    such point.
 
     With sigma = sum(head) and tau = sum(head^3), the last two coordinates
     x, y satisfy x + y = -sigma and x^3 + y^3 = -tau; scaled by 6 sigma
-    they are -3 sigma^2 +- sqrt(D) with D = 3 sigma (4 tau - sigma^3).
-    The point is real when D >= 0 and rational when D is a square s^2, in
-    which case s stands for sqrt(D) and every entry is an integer.
+    they are the conjugates c +- sqrt(D), with c = -3 sigma^2 and
+    D = 3 sigma (4 tau - sigma^3).  The point is real when D >= 0 and
+    rational when D is a square.  p2 = sum X^2 is an integer, and the pair's
+    images 6 (c +- sqrt(D))^2 - p2 are the conjugates u +- v sqrt(D) with
+    u = 6 (c^2 + D) - p2 and v = 12 c, so their power sums are integers too.
+
+    Returns (D, the four head images, the pair's first, second and fourth
+    power sums).
     """
     sigma = sum(head)
     if sigma == 0:
         return None
-    disc = 3 * sigma * (4 * sum([h * h * h for h in head]) - sigma * sigma * sigma)
+    sigma2 = sigma * sigma
+    disc = 3 * sigma * (4 * sum([h * h * h for h in head]) - sigma2 * sigma)
     if disc < 0:
         return None
-    root = isqrt(disc)
-    if root * root != disc:
-        root = _Surd(0, 1, disc)
-    centre = -3 * sigma * sigma
     scale = 6 * sigma
-    h0, h1, h2, h3 = head
-    return (scale * h0, scale * h1, scale * h2, scale * h3, centre + root, centre - root)
+    squares = [scale * scale * h * h for h in head]
+    centre = -3 * sigma2
+    pair2 = centre * centre + disc  # half the pair's sum of squares
+    p2 = sum(squares) + 2 * pair2
+    u = 6 * pair2 - p2
+    uu, vv = u * u, 144 * centre * centre * disc  # u^2 and v^2 D
+    pair_sums = (2 * u, 2 * (uu + vv), 2 * (uu * uu + 6 * uu * vv + vv * vv))
+    return disc, [6 * q - p2 for q in squares], pair_sums
 
 
 class DualityReport(_Value):
@@ -369,9 +321,12 @@ class DualityReport(_Value):
 def duality_sample_check(sample_count: int, _tolerance=None, seed: int = 0) -> DualityReport:
     """Sampled verification that the cubic's Gauss map lands on the quartic.
 
-    Each sample fixes four random coordinates and solves for the other two
-    (:func:`_sample_point`), so its quartic residual is exact and must be
-    zero.  Samples whose image is zero (the nodes) are skipped, not failed.
+    Each sample fixes four random coordinates and solves for the other two,
+    a conjugate pair c +- sqrt(D) (:func:`_image_sums`).  The image's linear
+    form sum Y and quartic residual (sum Y^2)^2 - 4 sum Y^4 add the pair's
+    integer power sums to the four head images' ones, so both are exact
+    ints and must be zero.  Samples whose image is zero (the nodes) are
+    skipped, not failed.
 
     The four coordinates are the next four values of randint(-9, 9) on
     random.Random(seed), drawn in blocks by :func:`_digits`; the seed must
@@ -386,18 +341,21 @@ def duality_sample_check(sample_count: int, _tolerance=None, seed: int = 0) -> D
     digit = _digits(seed).__next__
     samples = exact_samples = skipped = nonzero = 0
     while samples < sample_count:
-        point = _sample_point([digit(), digit(), digit(), digit()])
-        if point is None:
+        sums = _image_sums([digit(), digit(), digit(), digit()])
+        if sums is None:
             continue
-        image = gauss_image(point)
-        # a _Surd entry is never zero, and so is truthy
-        if not any(image):
+        disc, images, (pair1, pair2, pair4) = sums
+        squares = [y * y for y in images]
+        p2 = sum(squares) + pair2
+        # a real image's sum of squares vanishes only on the zero image
+        if not p2:
             skipped += 1
             continue
-        if evaluate(Hypersurface.IGUSA_QUARTIC, image) != (0, 0):
+        p4 = sum([q * q for q in squares]) + pair4
+        if sum(images) + pair1 or p2 * p2 - 4 * p4:
             nonzero += 1
         samples += 1
-        exact_samples += isinstance(point[-1], int)
+        exact_samples += isqrt(disc) ** 2 == disc
     return DualityReport(
         samples=samples,
         exact_samples=exact_samples,

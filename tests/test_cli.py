@@ -240,6 +240,15 @@ def test_divisor_eval_other_point_counts(capsys):
     assert code == 2 and "DA" in err
 
 
+def test_point_count_must_be_a_positive_ascii_integer(capsys):
+    # int() reads "٦" as 6 and "1_0" as 10
+    for n in ("0", "-1", "²", "٦", "1_0"):
+        for action in ("eval", "chamber"):
+            code, out, last = usage_error(capsys, ["divisor", action, "--expr", "K", "--n", n])
+            assert code == 2 and out == "", n
+            assert last.endswith(f"argument --n: expected a positive integer, got '{n}'"), n
+
+
 def test_divisor_intersect_command(capsys):
     code, out, _ = run(
         capsys, ["divisor", "intersect", "--expr", "DA", "--curve", "F:1,1,1,3"]
@@ -571,6 +580,22 @@ def test_git_limit_command(capsys, conic_file):
     # a blank field gets the same message as in --point and --weights
     blank = ["git", "limit", conic_file, "--lps", "2,,-1"]
     assert run(capsys, blank) == (2, "", "error: --lps: field 2 of 3 is empty\n")
+    # int() reads "٢" as 2, "１" as 1 and "1_0" as 10
+    for lps, field in (
+        ("٢,-١,-١", "1 of 3 is not an integer: '٢'"),
+        ("1_0,-5,-5", "1 of 3 is not an integer: '1_0'"),
+        ("1,１,0", "2 of 3 is not an integer: '１'"),
+        ("1.5,0,0", "1 of 3 is not an integer: '1.5'"),
+        ("1,0,a", "3 of 3 is not an integer: 'a'"),
+    ):
+        code, out, err = run(capsys, ["git", "limit", conic_file, "--lps", lps])
+        assert (code, out) == (2, ""), lps
+        assert err == f"error: --lps: field {field}\n", lps
+    # surrounding spaces and a sign are still read, and echoed as typed
+    _, plain, _ = run(capsys, ["git", "limit", conic_file, "--lps", "1,0,0"])
+    code, out, _ = run(capsys, ["git", "limit", conic_file, "--lps", " +1 , 0,0 "])
+    assert code == 0
+    assert out == plain.replace("(1,0,0)", "( +1 , 0,0 )")
 
 
 def test_git_degenerate_command(capsys, tmp_path):
@@ -669,7 +694,7 @@ def test_hypersurface_duality_command(capsys, monkeypatch):
     payload = json.loads(out)
     assert code == 0 and payload["rationalSamples"] == 46 and payload["samples"] == 100
 
-    original = hypersurfaces_mod.gauss_image
+    original, original_sums = hypersurfaces_mod.gauss_image, hypersurfaces_mod._image_sums
 
     def corrupted(coords):
         # moved off the quartic, still in the sum-zero hyperplane
@@ -678,7 +703,18 @@ def test_hypersurface_duality_command(capsys, monkeypatch):
         image[1] -= 1
         return tuple(image)
 
+    def corrupted_sums(head):
+        # the sampler's Gauss step, with the same two images moved
+        sums = original_sums(head)
+        if sums is not None:
+            sums[1][0] += 1
+            sums[1][1] -= 1
+        return sums
+
+    # the report's pair patterns go through gauss_image, the sampler
+    # through _image_sums
     monkeypatch.setattr(hypersurfaces_mod, "gauss_image", corrupted)
+    monkeypatch.setattr(hypersurfaces_mod, "_image_sums", corrupted_sums)
     code, out, _ = run(capsys, argv)
     assert code == 1 and "pass: false" in out and "nonzero residuals: 100" in out
     code, out, _ = run(capsys, ["paper-report", "--samples", "20"])

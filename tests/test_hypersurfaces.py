@@ -2,11 +2,10 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sixpoint import hypersurfaces
 from sixpoint.hypersurfaces import (
@@ -25,7 +24,7 @@ from sixpoint.hypersurfaces import (
     search_extra_singular_points,
     segre_nodes,
 )
-from sixpoint.hypersurfaces import _digits, _sample_point, _Surd
+from sixpoint.hypersurfaces import _digits, _image_sums
 
 SEGRE = Hypersurface.SEGRE_CUBIC
 IGUSA = Hypersurface.IGUSA_QUARTIC
@@ -252,21 +251,40 @@ def test_duality_draws_are_pinned():
         assert report.nonzero_residuals == 0, seed
 
 
-def _shifted_gauss_image(original):
-    """A Gauss map moved off the quartic but kept in the sum-zero hyperplane."""
+def test_duality_reports_are_pinned_over_the_bench_batch_sizes():
+    """SHA-256 of repr of the (samples, exact_samples, skipped,
+    nonzero_residuals) rows of seeds 0-199, the sample count cycling
+    through the cubic benchmark's batch sizes 60, 72, ..., 300; computed at
+    commit c95a04a, when the sampler still built the points' irrational
+    coordinates as numbers a + b sqrt(D)."""
+    sizes = range(60, 301, 12)
+    rows = []
+    for seed in range(200):
+        report = duality_sample_check(sizes[seed % len(sizes)], seed=seed)
+        rows.append((report.samples, report.exact_samples, report.skipped, report.nonzero_residuals))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "2483c98753ac41256860e1ab017089ee1dbd5451620409042611326f6d7a07fd"
 
-    def corrupted(coords):
-        image = list(original(coords))
-        image[0] += 1
-        image[1] -= 1
-        return tuple(image)
+
+def _shifted_image_sums(original):
+    """The sampler's Gauss step with two head images moved off the quartic
+    but kept in the sum-zero hyperplane."""
+
+    def corrupted(head):
+        sums = original(head)
+        if sums is None:
+            return None
+        disc, images, pair_sums = sums
+        images[0] += 1
+        images[1] -= 1
+        return disc, images, pair_sums
 
     return corrupted
 
 
 def test_corrupted_gauss_map_fails_every_sample(monkeypatch):
     monkeypatch.setattr(
-        hypersurfaces, "gauss_image", _shifted_gauss_image(hypersurfaces.gauss_image)
+        hypersurfaces, "_image_sums", _shifted_image_sums(hypersurfaces._image_sums)
     )
     for seed in (0, 2, 42):
         report = duality_sample_check(250, seed=seed)
@@ -274,64 +292,32 @@ def test_corrupted_gauss_map_fails_every_sample(monkeypatch):
         assert report.nonzero_residuals == report.samples == 250
 
 
-def _parts(value):
-    return (value.a, value.b) if isinstance(value, _Surd) else (value, 0)
-
-
-def test_surds_collapse_to_ints_in_the_sampler(monkeypatch):
-    """Rational samples build no _Surd, and an irrational one at most 18:
-    every rational intermediate value (p2, p4, the linear form, the
-    residual) is a plain int."""
-    built = []
-    init = _Surd.__init__
-
-    def counting_init(self, a, b, d):
-        built.append(1)
-        init(self, a, b, d)
-
-    # each sample's count runs from one _sample_point call to the next
-    starts, points = [], []
-    sample_point = hypersurfaces._sample_point
-
-    def recording_sample_point(head):
-        starts.append(len(built))
-        points.append(sample_point(head))
-        return points[-1]
-
-    monkeypatch.setattr(_Surd, "__init__", counting_init)
-    monkeypatch.setattr(hypersurfaces, "_sample_point", recording_sample_point)
-    report = duality_sample_check(250, seed=42)
-    assert report.passed and report.skipped == 0
-    counts = [end - start for start, end in zip(starts, starts[1:] + [len(built)])]
-    irrational = [n for n, point in zip(counts, points) if point and not isinstance(point[-1], int)]
-    rational = [n for n, point in zip(counts, points) if not point or isinstance(point[-1], int)]
-    assert len(irrational) == report.samples - report.exact_samples == 141
-    assert max(irrational) <= 18
-    assert not any(rational)
-
-
-heads = st.lists(st.integers(-40, 40), min_size=4, max_size=4)
+digits = st.integers(-9, 9) | st.integers(-10**4, 10**4)
 
 
 @settings(deadline=None, max_examples=300)
-@given(heads)
-def test_sampled_points_are_exact_cubic_points_with_quartic_images(head):
+@given(st.lists(digits, min_size=4, max_size=4))
+@example([1, 0, 0, 0])  # D = 9, a square
+@example([1, 2, 3, -7])  # D = 3681, not a square
+def test_image_sums_match_sympy_at_the_conjugate_pair(head):
     sigma = sum(head)
     disc = 3 * sigma * (4 * sum(h**3 for h in head) - sigma**3)
     assume(sigma != 0 and disc >= 0)
-    point = _sample_point(head)
-    assert point[:4] == tuple(6 * sigma * h for h in head)
-    assert isinstance(point[-1], int) == (isqrt(disc) ** 2 == disc)
-    for value in evaluate(SEGRE, point):
-        assert _parts(value) == (0, 0)
-    image = gauss_image(point)
-    for value in (sum(image),) + evaluate(IGUSA, image):
-        assert _parts(value) == (0, 0)
+    found, images, pair_sums = _image_sums(head)
+    assert found == disc
+    assert all(type(value) is int for value in (*images, *pair_sums))
+    centre, root = -3 * sigma**2, sympy.sqrt(disc)
+    point = [6 * sigma * h for h in head] + [centre + root, centre - root]
+    assert sympy.expand(sum(point)) == 0
+    assert sympy.expand(sum(x**3 for x in point)) == 0
+    p2 = sum(x**2 for x in point)
+    image = [sympy.expand(6 * x**2 - p2) for x in point]
+    assert images == image[:4]
+    pair = image[4:]
+    assert list(pair_sums) == [sympy.expand(sum(y**k for y in pair)) for k in (1, 2, 4)]
 
 
 def _sympy_value(value):
-    if isinstance(value, _Surd):
-        return value.a + value.b * sympy.sqrt(value.d)
     return sympy.Rational(value.numerator, value.denominator)
 
 
@@ -357,7 +343,6 @@ def _same(computed, expected) -> bool:
     st.one_of(
         st.lists(st.integers(-10**6, 10**6), min_size=6, max_size=6),
         st.lists(st.fractions(-100, 100, max_denominator=50), min_size=6, max_size=6),
-        st.lists(st.integers(-50, 50), min_size=4, max_size=4).map(_sample_point).filter(bool),
     )
 )
 def test_forms_and_gauss_image_match_textbook_expansions(point):
@@ -367,49 +352,15 @@ def test_forms_and_gauss_image_match_textbook_expansions(point):
     assert _same(gauss_image(point), image)
 
 
-def test_sample_point_examples():
-    assert _sample_point([1, -1, 2, -2]) is None  # sigma = 0
-    assert _sample_point([1, 1, 1, 1]) is None  # D = -576
-    assert _sample_point([1, 0, 0, 0]) == (6, 0, 0, 0, 0, -6)  # D = 9
-    *rational, x, y = _sample_point([1, 2, 3, -7])  # D = 3681, not a square
-    assert rational == [-6, -12, -18, 42]
-    assert (x.a, x.b, x.d) == (-3, 1, 3681) and (y.a, y.b) == (-3, -1)
-
-
-coefficients = st.integers(-10**6, 10**6)
-
-
-@settings(deadline=None, max_examples=200)
-@given(
-    # a live _Surd has a nonzero sqrt(d) part
-    st.tuples(coefficients, coefficients.filter(bool), coefficients, coefficients.filter(bool)),
-    st.integers(2, 500).filter(lambda d: isqrt(d) ** 2 != d),
-    st.integers(0, 5),
-)
-def test_surd_arithmetic_matches_sympy(parts, d, exponent):
-    a, b, c, e = parts
-    x, y = _Surd(a, b, d), _Surd(c, e, d)
-    root = sympy.sqrt(d)
-    sx, sy = a + b * root, c + e * root
-
-    def agrees(value, expected):
-        a_, b_ = _parts(value)
-        return sympy.expand(a_ + b_ * root - expected) == 0
-
-    assert agrees(x * y, sx * sy)
-    assert agrees(x + y, sx + sy) and agrees(x - y, sx - sy)
-    assert agrees(3 * x - c, 3 * sx - c) and agrees(c - x, c - sx) and agrees(c + x, c + sx)
-    assert agrees(x - c, sx - c) and agrees(x + c, sx + c) and agrees(-x, -sx)
-    assert agrees(x**exponent, sx**exponent)
-    assert (x == y) == (a == c and b == e)
-    assert x != a
-    # every _Surd an operator returns has a nonzero sqrt(d) part; a result
-    # whose sqrt(d) part is zero is a plain int
-    for value in (x * y, x + y, x - y, 3 * x - c, c - x, c + x, x - c, x + c, -x, x * c, c * x, x**exponent):
-        assert type(value) is int or (type(value) is _Surd and value.b != 0)
-    assert type(x * 0) is int and x * 0 == 0
-    assert type(0 * x) is int and 0 * x == 0
-    conjugate = _Surd(a, -b, d)
-    for value in (x - x, x * conjugate, x**0, x + -x, (c + x) + (-x), x + (c - x) - c):
-        assert type(value) is int
-    assert x * conjugate == a * a - b * b * d and (c + x) + (-x) == c
+def test_image_sums_examples():
+    assert _image_sums([1, -1, 2, -2]) is None  # sigma = 0
+    assert _image_sums([1, 1, 1, 1]) is None  # D = -576
+    # D = 9: the rational point (6, 0, 0, 0, 0, -6)
+    image = gauss_image((6, 0, 0, 0, 0, -6))
+    pair_sums = tuple(sum(y**k for y in image[4:]) for k in (1, 2, 4))
+    assert _image_sums([1, 0, 0, 0]) == (9, list(image[:4]), pair_sums)
+    # D = 3681, not a square: the point (-6, -12, -18, 42, -3 +- sqrt(3681)),
+    # whose pair's images are 12492 -+ 36 sqrt(3681)
+    assert _image_sums([1, 2, 3, -7]) == (
+        3681, [-9432, -8784, -7704, 936], (24984, 321641280, 57682146020954112)
+    )
