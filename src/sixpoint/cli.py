@@ -58,10 +58,12 @@ class CLIError(Exception):
 
 
 # one signed term, every part optional; parse_divisor_expression decides
-# which combinations of the parts are terms
+# which combinations of the parts are terms.  ASCII: \d would also match
+# other scripts' digits ('٣'), which int() and Fraction read
 _TERM = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<coef>\d+(?:/\d+)?)\s*(?P<star>\*)?\s*)?"
-    r"(?P<symbol>B\d+|K|psi|DA)?\s*"
+    r"(?P<symbol>B\d+|K|psi|DA)?\s*",
+    re.ASCII,
 )
 
 
@@ -182,12 +184,17 @@ def _parse_csv_rationals(text: str, context: str, flag: str) -> list[Fraction]:
 def _parse_curve(text: str) -> FCurve | CCurve:
     from .divisors import CCurve, FCurve
 
+    def integer(field: str) -> int:
+        if not _INTEGER_FIELD.fullmatch(field):
+            raise ValueError(f"not an integer: {field!r}")
+        return int(field)
+
     head, _, body = text.partition(":")
     try:
         if head == "F":
-            return FCurve(tuple(int(p) for p in body.split(",")))
+            return FCurve(tuple(integer(p) for p in body.split(",")))
         if head == "C":
-            return CCurve(int(body))
+            return CCurve(integer(body))
     except ValueError as exc:
         raise CLIError(f"bad curve spec {text!r}: {exc}") from exc
     raise CLIError(f"bad curve spec {text!r} (use F:a,b,c,d or C:j)")

@@ -81,8 +81,15 @@ class _Value:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or a plain integer literal into an exact rational."""
+    """Parse ``p/q`` or a plain integer literal into an exact rational.
+
+    Only ASCII text without underscores is read: ``Fraction`` alone would
+    also take other scripts' digits ('٣') and underscores between digits
+    ('1_0').
+    """
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError("not ASCII digits without underscores")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc

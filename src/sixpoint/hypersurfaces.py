@@ -13,11 +13,14 @@ projectively dual: the tangent-hyperplane (Gauss) map of the cubic,
 normalized back into the sum-zero hyperplane, lands on the quartic.
 
 Exact operations take rational coordinates.  The singularity test scales
-the point to integers and compares the gradient entries; sampled cubic
-points are built as integers throughout.  A duality sample's last two
-coordinates may be irrational, a conjugate pair c +- sqrt(D); the verdict
-reads only power sums of the Gauss image, which are symmetric in the pair
-and hence integers, so every sample is decided in int arithmetic.
+the point to integers and compares the gradient entries.  Sampled cubic
+points are built as integers throughout and canonicalized once, as they are
+built; the singular-point search checks each one's membership exactly and
+then tests the gradient on that integer point, without scaling it again.  A
+duality sample's last two coordinates may be irrational, a conjugate pair
+c +- sqrt(D); the verdict reads only power sums of the Gauss image, which
+are symmetric in the pair and hence integers, so every sample is decided in
+int arithmetic.
 
 Both samplers draw their coordinates from one stream of digits in -9..9,
 the values ``random.Random(seed).randint(-9, 9)`` returns one call at a
@@ -33,7 +36,7 @@ import itertools
 import random
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Sequence
 
 from .exact import _Value, integer_vector
@@ -104,6 +107,16 @@ def is_singular_point(surface: Hypersurface, coords: Sequence[Fraction | int]) -
         raise ValueError(
             f"point is not on {surface.value}: forms evaluate to {values[0]}, {values[1]}"
         )
+    return _constant_gradient(surface, point)
+
+
+def _constant_gradient(surface: Hypersurface, point: tuple[int, ...]) -> bool:
+    """Whether the degree form's gradient has all entries equal at a
+    nonzero integer point of the threefold (unchecked): the singularity
+    test itself.  On the cubic the entries are 3 X_i^2."""
+    if surface is Hypersurface.SEGRE_CUBIC:
+        x0, x1, x2, x3, x4, x5 = point
+        return x0 * x0 == x1 * x1 == x2 * x2 == x3 * x3 == x4 * x4 == x5 * x5
     return len(set(gradient(surface, point))) == 1
 
 
@@ -179,7 +192,6 @@ def pair_pattern_point(a, b, c) -> tuple:
     return (a, b, c, -a, -b, -c)
 
 
-_NODE = (1, 1, 1, -1, -1, -1)
 # segre_nodes() are already canonical integer vectors
 _NODES = frozenset(segre_nodes())
 
@@ -207,38 +219,56 @@ def _digits(seed: int):
                 yield (b >> 3) - 9
 
 
+def _chord_points(seed: int):
+    """The cubic points of :func:`random_cubic_points`, without end.
+
+    The chords run through the node N = (1, 1, 1, -1, -1, -1), and each
+    direction takes the next five digits.  The residual point
+    N cubic_v - 3 quad V is divided by its content, negated when its first
+    nonzero entry is negative, once, as it is built.  It is never zero:
+    that needs V proportional to N, whose cubic form vanishes.
+    """
+    digits = _digits(seed)
+    for v0, v1, v2, v3, v4 in zip(digits, digits, digits, digits, digits):
+        v5 = -(v0 + v1 + v2 + v3 + v4)
+        cubic_v = (
+            v0 * v0 * v0 + v1 * v1 * v1 + v2 * v2 * v2 + v3 * v3 * v3 + v4 * v4 * v4 + v5 * v5 * v5
+        )
+        if cubic_v == 0:
+            continue
+        # sum(N_i V_i^2)
+        quad = v0 * v0 + v1 * v1 + v2 * v2 - v3 * v3 - v4 * v4 - v5 * v5
+        if quad == 0:
+            continue
+        # N + t V scaled by sum(V_i^3), which keeps it integral
+        q = 3 * quad
+        x0, x1, x2 = cubic_v - q * v0, cubic_v - q * v1, cubic_v - q * v2
+        x3, x4, x5 = -cubic_v - q * v3, -cubic_v - q * v4, -cubic_v - q * v5
+        g = gcd(x0, x1, x2, x3, x4, x5)
+        if (x0 or x1 or x2 or x3 or x4 or x5) < 0:
+            g = -g
+        if g == 1:
+            yield x0, x1, x2, x3, x4, x5
+        else:
+            yield x0 // g, x1 // g, x2 // g, x3 // g, x4 // g, x5 // g
+
+
 def random_cubic_points(count: int, seed: int) -> list[tuple[int, ...]]:
     """Rational points of the cubic, by chords through a node.
 
     A generic line through a node meets the cubic doubly at the node and at
     one further point, which is therefore rational: for a direction V with
     sum(V) = 0 the residual intersection sits at t = -3 sum(N_i V_i^2) /
-    sum(V_i^3).  Points are canonically scaled to integer coordinates.
+    sum(V_i^3).  Points are built as integers and canonicalized once, as
+    they are built: content 1, first nonzero coordinate positive.
 
     The first five entries of each V are the next five values of
     randint(-9, 9) on random.Random(seed), drawn in blocks by
     :func:`_digits`.  The seed must be nonnegative.
     """
     _check_seed(seed)
-    digit = _digits(seed).__next__
-    points: list[tuple[int, ...]] = []
-    while len(points) < count:
-        v = [digit(), digit(), digit(), digit(), digit()]
-        v.append(-sum(v))
-        cubic_v = sum([x * x * x for x in v])
-        if cubic_v == 0:
-            continue
-        v0, v1, v2, v3, v4, v5 = v
-        # sum(N_i V_i^2) with N = _NODE
-        quad = v0 * v0 + v1 * v1 + v2 * v2 - v3 * v3 - v4 * v4 - v5 * v5
-        if quad == 0:
-            continue
-        # N + t V scaled by sum(V_i^3), which keeps it integral
-        point = integer_vector([n * cubic_v - 3 * quad * x for n, x in zip(_NODE, v)])
-        if all(x == 0 for x in point):
-            continue
-        points.append(point)
-    return points
+    points = _chord_points(seed).__next__
+    return [points() for _ in range(count)]
 
 
 def search_extra_singular_points(count: int, seed: int) -> list[tuple[int, ...]]:
@@ -246,12 +276,21 @@ def search_extra_singular_points(count: int, seed: int) -> list[tuple[int, ...]]
 
     Samples ``count`` rational points of the cubic and returns any that are
     singular yet not among the ten nodes.  Expected to come back empty.
+    Each point other than a node is first checked to satisfy sum X = 0 and
+    sum X^3 = 0 exactly (RuntimeError names one that does not); then the
+    gradient test of :func:`is_singular_point` is applied to the integer
+    point as sampled, which is already canonical.
     """
     extras = []
     for point in random_cubic_points(count, seed):
         if point in _NODES:
             continue
-        if is_singular_point(Hypersurface.SEGRE_CUBIC, point):
+        x0, x1, x2, x3, x4, x5 = point
+        if x0 + x1 + x2 + x3 + x4 + x5 or (
+            x0 * x0 * x0 + x1 * x1 * x1 + x2 * x2 * x2 + x3 * x3 * x3 + x4 * x4 * x4 + x5 * x5 * x5
+        ):
+            raise RuntimeError(f"sampled point {point} is not on the Segre cubic")
+        if _constant_gradient(Hypersurface.SEGRE_CUBIC, point):
             extras.append(point)
     return extras
 
@@ -284,22 +323,25 @@ def _image_sums(head: Sequence[int]) -> tuple | None:
     Returns (D, the four head images, the pair's first, second and fourth
     power sums).
     """
-    sigma = sum(head)
+    h0, h1, h2, h3 = head
+    sigma = h0 + h1 + h2 + h3
     if sigma == 0:
         return None
+    a0, a1, a2, a3 = h0 * h0, h1 * h1, h2 * h2, h3 * h3
     sigma2 = sigma * sigma
-    disc = 3 * sigma * (4 * sum([h * h * h for h in head]) - sigma2 * sigma)
+    disc = 3 * sigma * (4 * (a0 * h0 + a1 * h1 + a2 * h2 + a3 * h3) - sigma2 * sigma)
     if disc < 0:
         return None
-    scale = 6 * sigma
-    squares = [scale * scale * h * h for h in head]
+    # the head scaled by 6 sigma has squares 36 sigma^2 a_i
+    scale2 = 36 * sigma2
     centre = -3 * sigma2
     pair2 = centre * centre + disc  # half the pair's sum of squares
-    p2 = sum(squares) + 2 * pair2
+    p2 = scale2 * (a0 + a1 + a2 + a3) + 2 * pair2
     u = 6 * pair2 - p2
     uu, vv = u * u, 144 * centre * centre * disc  # u^2 and v^2 D
     pair_sums = (2 * u, 2 * (uu + vv), 2 * (uu * uu + 6 * uu * vv + vv * vv))
-    return disc, [6 * q - p2 for q in squares], pair_sums
+    scale6 = 6 * scale2
+    return disc, [scale6 * a0 - p2, scale6 * a1 - p2, scale6 * a2 - p2, scale6 * a3 - p2], pair_sums
 
 
 class DualityReport(_Value):
@@ -338,24 +380,27 @@ def duality_sample_check(sample_count: int, _tolerance=None, seed: int = 0) -> D
     if sample_count < 1:
         raise ValueError("need at least one sample")
     _check_seed(seed)
-    digit = _digits(seed).__next__
+    digits = _digits(seed)
     samples = exact_samples = skipped = nonzero = 0
-    while samples < sample_count:
-        sums = _image_sums([digit(), digit(), digit(), digit()])
+    for head in zip(digits, digits, digits, digits):
+        sums = _image_sums(head)
         if sums is None:
             continue
-        disc, images, (pair1, pair2, pair4) = sums
-        squares = [y * y for y in images]
-        p2 = sum(squares) + pair2
+        disc, (y0, y1, y2, y3), (pair1, pair2, pair4) = sums
+        q0, q1, q2, q3 = y0 * y0, y1 * y1, y2 * y2, y3 * y3
+        p2 = q0 + q1 + q2 + q3 + pair2
         # a real image's sum of squares vanishes only on the zero image
         if not p2:
             skipped += 1
             continue
-        p4 = sum([q * q for q in squares]) + pair4
-        if sum(images) + pair1 or p2 * p2 - 4 * p4:
+        p4 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 + pair4
+        if y0 + y1 + y2 + y3 + pair1 or p2 * p2 - 4 * p4:
             nonzero += 1
         samples += 1
-        exact_samples += isqrt(disc) ** 2 == disc
+        root = isqrt(disc)
+        exact_samples += root * root == disc
+        if samples == sample_count:
+            break
     return DualityReport(
         samples=samples,
         exact_samples=exact_samples,

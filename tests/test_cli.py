@@ -443,6 +443,29 @@ def test_actions_reject_flags_they_do_not_read(capsys, stratum_file, argv, case)
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["divisor", "intersect", "--expr", "DA", "--curve", "F:١,1,1,3"],
+         "bad curve spec 'F:١,1,1,3': not an integer: '١'"),
+        (["divisor", "intersect", "--expr", "B2", "--curve", "C:1_0"],
+         "bad curve spec 'C:1_0': not an integer: '1_0'"),
+        (["divisor", "eval", "--expr", "٣*B2"], "parse error at position 0: unexpected '٣'"),
+        (["divisor", "eval", "--expr", "B٢"], "parse error at position 0: unexpected 'B'"),
+        (["hypersurface", "eval", "--surface", "segre", "--point", "1_0,-10,0,0,0,0"],
+         "point: not a rational number: '1_0'"),
+        (["git", "stability", "CONFIG", "--weights", "١/٢,1/2,1/2,1/2,1/2,1/2"],
+         "weights: not a rational number: '١/٢'"),
+        (["m2", "--alpha", "٩/11"], "--alpha: not a rational number: '٩/11'"),
+    ],
+)
+def test_only_ascii_digits_without_underscores_are_read(capsys, stratum_file, argv, message):
+    # int() and Fraction read other scripts' digits ('١' as 1) and
+    # underscores between digits ('1_0' as 10); these used to exit 0
+    argv = [stratum_file if arg == "CONFIG" else arg for arg in argv]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_flags_before_the_action_get_a_hint(capsys, stratum_file):
     # a flag the chosen action reads, put before it, is left unread by
     # argparse; the error then says where flags go

@@ -133,6 +133,11 @@ def test_parse_rational():
         parse_rational("x/y")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+    # ASCII decimals are exact; other scripts' digits and underscores are not read
+    assert parse_rational("0.5") == Fraction(1, 2) and parse_rational("1e3") == 1000
+    for text in ("٣", "١/٢", "1_0", "1/1_0", "３"):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
 
 
 def random_matrix(rng, rows, cols):

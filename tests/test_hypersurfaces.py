@@ -24,7 +24,8 @@ from sixpoint.hypersurfaces import (
     search_extra_singular_points,
     segre_nodes,
 )
-from sixpoint.hypersurfaces import _digits, _image_sums
+from sixpoint.exact import integer_vector
+from sixpoint.hypersurfaces import _constant_gradient, _digits, _image_sums
 
 SEGRE = Hypersurface.SEGRE_CUBIC
 IGUSA = Hypersurface.IGUSA_QUARTIC
@@ -186,6 +187,55 @@ def test_no_extra_singular_points_in_a_quick_search():
     assert search_extra_singular_points(2000, seed=11) == []
 
 
+def test_search_rejects_a_sampled_point_off_the_cubic(monkeypatch):
+    off = (1, 2, 3, -6, 0, 0)  # on sum X = 0, not on sum X^3 = 0
+    monkeypatch.setattr(hypersurfaces, "_chord_points", lambda seed: iter([off]))
+    with pytest.raises(RuntimeError, match=r"sampled point \(1, 2, 3, -6, 0, 0\) is not on"):
+        search_extra_singular_points(1, 0)
+
+
+def test_search_finds_a_node_it_is_not_told_of(monkeypatch):
+    # with the node list emptied, the gradient test alone must flag the node
+    node, smooth = (1, -1, 1, -1, 1, -1), (1, -1, 2, -2, 3, -3)
+    monkeypatch.setattr(hypersurfaces, "_NODES", frozenset())
+    monkeypatch.setattr(hypersurfaces, "_chord_points", lambda seed: iter([smooth, node, smooth]))
+    assert search_extra_singular_points(3, 0) == [node]
+
+
+def _cubic_point(direction):
+    """The canonical residual point of the chord through the node
+    (1, 1, 1, -1, -1, -1) in the direction (v, -sum(v)), or None."""
+    v = [*direction, -sum(direction)]
+    cubic_v = sum(x**3 for x in v)
+    quad = sum(x * x for x in v[:3]) - sum(x * x for x in v[3:])
+    if cubic_v == 0 or quad == 0:
+        return None
+    return integer_vector([n * cubic_v - 3 * quad * x for n, x in zip((1, 1, 1, -1, -1, -1), v)])
+
+
+cubic_points = st.one_of(
+    st.lists(st.integers(-50, 50), min_size=5, max_size=5).map(_cubic_point),
+    # (a, b, c, -a, -b, -c) permuted; singular exactly when |a| = |b| = |c|
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).flatmap(
+        lambda abc: st.permutations(pair_pattern_point(*abc))
+    ).map(integer_vector),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(cubic_points)
+@example((1, 1, -1, -1, 1, -1))  # a node
+@example((2, 1, 0, -2, -1, 0))  # smooth, with zero coordinates
+@example((1, -1, 1, 2, -1, -2))  # smooth, the first three coordinates of one size
+def test_integer_gradient_test_matches_is_singular_point(point):
+    assume(point is not None and any(point))
+    assert evaluate(SEGRE, point) == (0, 0)
+    singular = is_singular_point(SEGRE, point)
+    assert _constant_gradient(SEGRE, point) == singular
+    # and both agree with the gradient itself
+    assert singular == (len(set(gradient(SEGRE, point))) == 1)
+
+
 def test_forms_invariant_under_coordinate_permutations():
     rng = random.Random(2718)
     for _ in range(100):
@@ -264,6 +314,21 @@ def test_duality_reports_are_pinned_over_the_bench_batch_sizes():
         rows.append((report.samples, report.exact_samples, report.skipped, report.nonzero_residuals))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "2483c98753ac41256860e1ab017089ee1dbd5451620409042611326f6d7a07fd"
+
+
+def test_cubic_samples_and_search_are_pinned_over_the_bench_batch_sizes():
+    """SHA-256 of repr of the (random_cubic_points(b, s),
+    search_extra_singular_points(b, s)) pairs of seeds 0-199, the batch
+    size b cycling through the cubic benchmark's 60, 72, ..., 300; computed
+    at commit 85abfaa, when every point was canonicalized by
+    ``integer_vector`` and the search called ``is_singular_point``."""
+    sizes = range(60, 301, 12)
+    rows = []
+    for seed in range(200):
+        batch = sizes[seed % len(sizes)]
+        rows.append((random_cubic_points(batch, seed), search_extra_singular_points(batch, seed)))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "8b705a43bf93fb678bfbe1fc83e45929da6cd82a56e67f4c97d20479a8cec5e2"
 
 
 def _shifted_image_sums(original):
