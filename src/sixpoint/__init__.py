@@ -11,7 +11,7 @@ from importlib import import_module
 _SUBMODULE_OF = {
     name: module
     for module, names in {
-        "exact": ("Rational", "RationalMatrix", "parse_rational"),
+        "exact": ("RationalMatrix", "parse_rational"),
         "divisors": (
             "BaseLocus", "CCurve", "ChamberReport", "FCurve", "Model", "SymmetricDivisor",
             "boundary", "canonical_divisor", "canonical_polarization", "from_k_psi",

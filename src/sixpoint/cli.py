@@ -109,6 +109,8 @@ def parse_divisor_expression(text: str, n: int = 6) -> SymmetricDivisor:
         if symbol is not None:
             term = symbol_divisor(symbol, m.start("symbol"))
             total = total + (-value if sign == "-" else value) * term
+        elif m.end() < len(text) and text[m.end()] not in "+-":
+            raise CLIError(f"parse error at position {m.end()}: unexpected {text[m.end()]!r}")
         elif star is not None or value != 0:
             raise CLIError(
                 f"parse error at position {at}: {coef}{star or ''} needs a symbol"

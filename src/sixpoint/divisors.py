@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-class SymmetricDivisor:
+class SymmetricDivisor(_Value):
     """A symmetric divisor class in the boundary basis.
 
     Coefficients are indexed by i in 2..floor(n/2); any index i given in the
@@ -49,18 +49,19 @@ class SymmetricDivisor:
     on both sides of a fold are added, because they name the same class.
     """
 
-    __slots__ = ("n", "coeffs")
+    n: int
+    coeffs: tuple[Fraction, ...]
 
     def __init__(self, n: int, coeffs: Mapping[int, Fraction | int] | None = None):
         if n < 4:
             raise ValueError(f"need at least four marked points, got n={n}")
-        self.n = n
         acc = {i: Fraction(0) for i in range(2, n // 2 + 1)}
         for i, c in (coeffs or {}).items():
             if not 2 <= i <= n - 2:
                 raise ValueError(f"boundary index {i} out of range 2..{n - 2}")
             acc[min(i, n - i)] += _rational(c)
-        self.coeffs = tuple(acc[i] for i in range(2, n // 2 + 1))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", tuple(acc[i] for i in range(2, n // 2 + 1)))
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of B_i, folding i onto n-i when needed."""
@@ -89,16 +90,6 @@ class SymmetricDivisor:
         return SymmetricDivisor(self.n, {i + 2: s * c for i, c in enumerate(self.coeffs)})
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymmetricDivisor)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
 
     def __repr__(self) -> str:
         return f"SymmetricDivisor(n={self.n}, {self})"

@@ -4,13 +4,13 @@ Every rank, span, span membership and inverse comes from one fraction-free
 elimination over the integers, :func:`echelon`: no floating point, no
 rounding, arbitrary-precision integers underneath.  A vector lies in a span
 exactly when adding it to the span's echelon rows leaves the rank unchanged.
-The plane is the exception: its lines and its conic test (in ``stability``)
-and its projective frames (in ``strata``) are cross products; six points lie
-on a conic when a bracket identity between products of 3 x 3 determinants
-holds.  Rational input is scaled to integers first.  All functions here are
-pure, so identical inputs always give bit-identical outputs.  Vectors are
-canonicalized (integer entries, content 1, first nonzero entry positive) so
-they can be frozen in golden tests.
+The plane is the exception: its lines and its conic test read one table of
+3 x 3 determinants, brackets, each a cross product dotted with a third
+point (in ``stability``), and its projective frames are cross products (in
+``strata``).  Rational input is scaled to integers first.  All functions
+here are pure, so identical inputs always give bit-identical outputs.
+Vectors are canonicalized (integer entries, content 1, first nonzero entry
+positive) so they can be frozen in golden tests.
 
 Also here is ``_Value``, the base of the library's immutable value types.
 A subclass lists its fields as class annotations; the base gives equality
@@ -28,8 +28,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 # a matrix as a tuple of integer rows
 IntegerMatrix = tuple[tuple[int, ...], ...]
 
@@ -37,7 +35,6 @@ IntegerMatrix = tuple[tuple[int, ...], ...]
 EchelonForm = tuple[IntegerMatrix, tuple[int, ...]]
 
 __all__ = [
-    "Rational",
     "RationalMatrix",
     "parse_rational",
     "integer_vector",

@@ -22,7 +22,7 @@ from .divisors import CCurve, FCurve
 from .exact import _Value
 from .genus2 import M2Divisor, Space
 from .hypersurfaces import Hypersurface
-from .stability import stability_status, stabilizer_dimension, symmetric_weights
+from .stability import stability_status, symmetric_weights
 
 __all__ = ["Check", "CheckGroup", "PaperReport", "build_report"]
 
@@ -152,7 +152,7 @@ def _semistable_strata() -> CheckGroup:
         config = strata.stratum_representative(label)
         rows += [
             (f"{label} status", "StrictlySemistable", stability_status(config, weights).status.value),
-            (f"{label} stabilizer", stabilizer, stabilizer_dimension(config)),
+            (f"{label} stabilizer", stabilizer, strata.STRATUM_STABILIZER_DIMENSION[label]),
             (f"{label} closed orbit", closed_orbit, strata.polystable_degeneration(config)[1]),
         ]
     return _group("semistable-strata", rows)

@@ -11,13 +11,11 @@ of the support (its rank and its connected components, from one
 elimination of the points as columns), diagonal one-parameter subgroup
 limits, projective transformations as integer matrices (scalar
 multiples act alike on projective points), and the conic membership test
-for six points in the plane.  A line of the plane is a cross product
-(:func:`_plane_line`, which also builds the frames in ``strata``), and the
-conic test is the bracket identity [123][145][246][356] =
-[124][135][236][456], whose eight determinants are such cross products
-dotted with a third point; neither runs an elimination.  A configuration
-keeps its flats and its last stability verdict, so asking again is a
-lookup.
+for six points in the plane.  The plane runs no elimination: one table of
+the support's brackets (p_a x p_b) . p_c (:func:`_plane_brackets`) gives
+its lines and the conic test [123][145][246][356] = [124][135][236][456].
+A configuration keeps its flats, brackets and last stability verdict, so
+asking again is a lookup.
 """
 
 from __future__ import annotations
@@ -99,12 +97,10 @@ class PointConfiguration(_Value):
         classes.  A subset of size k whose points all lie on a flat of
         dimension k - 1 found before it spans that flat or a smaller one,
         and a subset of rank below k spans a flat reached by a smaller
-        subset.  Membership in a new flat is tested once per support point.
-        In the plane that is a dot product: distinct canonical points p, q
-        are never proportional, so they span the line with normal p x q,
-        and r lies on it exactly when (p x q) . r = 0.  For d >= 3 the
-        subset is reduced by :func:`echelon`, and p lies on its span when
-        adding p to the reduced rows leaves the rank at the subset's size.
+        subset.  In the plane, distinct canonical points p, q span a line
+        and r lies on it exactly when the bracket of p, q, r is 0.  For
+        d >= 3 the subset is reduced by :func:`echelon`, and p lies on its
+        span when adding p to the reduced rows leaves the rank unchanged.
 
         A flat is the span of its own marks: they include the points that
         generate it and all lie on it.  So distinct flats carry distinct
@@ -118,14 +114,14 @@ class PointConfiguration(_Value):
         slot = {p: k for k, p in enumerate(support)}
         slots = [slot[p] for p in self.points]  # support index of each mark
         found = [(0, tuple(i for i, s in enumerate(slots) if s == k)) for k in range(len(support))]
+        thirds = self._brackets[1] if self.d == 2 else None
         for size in range(2, min(self.d, len(support)) + 1):
             covered: set[tuple[int, ...]] = set()  # subsets on a flat of dimension size - 1
             for subset in itertools.combinations(range(len(support)), size):
                 if subset in covered:
                     continue
                 if self.d == 2:
-                    a, b, c = _plane_line(*(support[k] for k in subset))
-                    on = [k for k, (x, y, z) in enumerate(support) if a * x + b * y + c * z == 0]
+                    on = sorted((*subset, *thirds[subset])) if subset in thirds else subset
                 else:
                     rows, pivots = echelon(support[k] for k in subset)
                     if len(pivots) < size:
@@ -134,6 +130,28 @@ class PointConfiguration(_Value):
                 covered.update(itertools.combinations(on, size))
                 found.append((size - 1, tuple(i for i, s in enumerate(slots) if s in on)))
         return tuple(found)
+
+    @cached_property
+    def _brackets(self) -> tuple[dict, dict]:
+        """:func:`_plane_brackets` of the support, once per plane configuration."""
+        return _plane_brackets(self.support())
+
+
+def _plane_brackets(points: Sequence[Sequence[int]]) -> tuple[dict, dict]:
+    """The brackets det(p_a, p_b, p_c) = (p_a x p_b) . p_c of plane points
+    at a < b < c, one cross product per pair, and for each pair a < b in a
+    zero bracket, the ascending list of the third points of its zeros."""
+    brackets, third_points = {}, {}
+    for a, b in itertools.combinations(range(len(points)), 2):
+        x, y, z = _plane_line(points[a], points[b])
+        for c in range(b + 1, len(points)):
+            u, v, w = points[c]
+            brackets[a, b, c] = bracket = x * u + y * v + z * w
+            if not bracket:  # filed under all three pairs, each in ascending order
+                third_points.setdefault((a, b), []).append(c)
+                third_points.setdefault((a, c), []).append(b)
+                third_points.setdefault((b, c), []).append(a)
+    return brackets, third_points
 
 
 def _plane_line(p: Sequence[int], q: Sequence[int]) -> tuple[int, int, int]:
@@ -399,33 +417,14 @@ def lies_on_conic(config: PointConfiguration) -> bool:
     monomials x^2, xy, xz, y^2, yz, z^2 at the points, which equals the
     bracket polynomial [123][145][246][356] - [124][135][236][456], [ijk]
     the determinant of points i, j, k (the classical conic condition; see
-    Sturmfels, *Algorithms in Invariant Theory*).  The eight brackets come
-    from four cross products and eight dot products (:func:`_conic_sides`),
-    with no elimination.
+    Sturmfels, *Algorithms in Invariant Theory*).  A repeated point gives
+    the determinant two equal rows; six distinct ones read the bracket table.
     """
     if config.d != 2 or config.n != 6:
         raise ValueError("conic membership is a test for six points in the plane")
-    left, right = _conic_sides(config.points)
-    return left == right
-
-
-def _conic_sides(points):
-    """The two sides [123][145][246][356] and [124][135][236][456] of the
-    conic condition on six plane points.
-
-    With lines l_ij = p_i x p_j, each bracket is a line dotted with a third
-    point: [123] = l_12 . p3, [145] = -l_15 . p4, [246] = -l_26 . p4 and
-    [356] = l_56 . p3, and likewise on the right at p4 and p3 swapped; the
-    signs cancel in pairs.  So the sides are C(p3) D(p4) and C(p4) D(p3)
-    for the line pairs C = l_12 l_56 and D = l_15 l_26, two conics through
-    p1, p2, p5, p6: equal exactly when p3 and p4 lie on one conic of their
-    pencil.
-    """
-    p1, p2, p3, p4, p5, p6 = points
-    at3, at4 = [], []  # l_12, l_56, l_15, l_26 dotted with p3, with p4
-    for a, b, c in (
-        _plane_line(p1, p2), _plane_line(p5, p6), _plane_line(p1, p5), _plane_line(p2, p6)
-    ):
-        at3.append(a * p3[0] + b * p3[1] + c * p3[2])
-        at4.append(a * p4[0] + b * p4[1] + c * p4[2])
-    return at3[0] * at3[1] * at4[2] * at4[3], at4[0] * at4[1] * at3[2] * at3[3]
+    if len(set(config.points)) < 6:
+        return True
+    b = config._brackets[0]
+    return b[0, 1, 2] * b[0, 3, 4] * b[1, 3, 5] * b[2, 4, 5] == (
+        b[0, 1, 3] * b[0, 2, 4] * b[1, 2, 5] * b[3, 4, 5]
+    )

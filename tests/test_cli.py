@@ -91,6 +91,29 @@ def test_expression_parse_errors():
         parse_divisor_expression("DA", n=5)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a coefficient that runs into a stray character is blamed on it
+        ("1_0*B2", "parse error at position 1: unexpected '_'"),
+        ("2 x", "parse error at position 2: unexpected 'x'"),
+        ("1/2#B2", "parse error at position 3: unexpected '#'"),
+        ("2*x", "parse error at position 2: unexpected 'x'"),
+        # one that reaches a sign or the end has no symbol
+        ("2 + B2", "parse error at position 0: 2 needs a symbol"
+         " (only the zero divisor is written without one)"),
+        ("2*", "parse error at position 0: 2* needs a symbol"
+         " (only the zero divisor is written without one)"),
+        ("1/3", "parse error at position 0: 1/3 needs a symbol"
+         " (only the zero divisor is written without one)"),
+    ],
+)
+def test_expression_parse_error_positions(text, message):
+    with pytest.raises(CLIError) as err:
+        parse_divisor_expression(text)
+    assert str(err.value) == message
+
+
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<sym>B\d+|K|psi|DA)|(?P<op>[+\-*]))")
 
 

@@ -283,26 +283,79 @@ def test_flag_completion_matches_the_greedy_unit_vectors():
     assert {len(flag) for flag in flags} == {1, 2}
 
 
-def test_plane_flats_take_one_cross_product_per_line_and_no_elimination(monkeypatch):
-    lines, eliminations = [], []
+def test_plane_brackets_take_one_cross_product_per_pair_and_are_built_once(monkeypatch):
+    # the flats and the conic test share one bracket table per configuration,
+    # built from one line per support pair, with no elimination
+    tables, lines, eliminations = [], [], []
 
-    def counting_plane_line(p, q):
-        lines.append(None)
-        return plane_line(p, q)
+    def counting(calls, function):
+        def counted(*args):
+            calls.append(None)
+            return function(*args)
+        return counted
 
-    def counting_echelon(rows):
-        eliminations.append(None)
-        return echelon(rows)
-
-    plane_line = stability_module._plane_line
-    monkeypatch.setattr(stability_module, "_plane_line", counting_plane_line)
-    monkeypatch.setattr(stability_module, "echelon", counting_echelon)
+    for name, calls in (
+        ("_plane_brackets", tables), ("_plane_line", lines), ("echelon", eliminations)
+    ):
+        original = getattr(stability_module, name)
+        monkeypatch.setattr(stability_module, name, counting(calls, original))
     collinear = PointConfiguration(2, [(1, t, 0) for t in range(6)])
     assert collinear.flats == tuple((0, (i,)) for i in range(6)) + ((1, tuple(range(6))),)
-    assert (len(lines), len(eliminations)) == (1, 0)  # the other 14 pairs are covered
+    assert lies_on_conic(collinear)  # both sides of the identity are 0
+    assert (len(tables), len(lines), len(eliminations)) == (1, 15, 0)
+    tables.clear()
     lines.clear()
-    assert len(conic_points().flats) == 6 + 15  # no three on a line
-    assert (len(lines), len(eliminations)) == (15, 0)
+    conic = conic_points()
+    assert lies_on_conic(conic)  # the table is built by whichever asks first
+    assert len(conic.flats) == 6 + 15  # no three on a line
+    assert lies_on_conic(conic) and len(conic.flats) == 21
+    assert (len(tables), len(lines), len(eliminations)) == (1, 15, 0)
+
+
+def leibniz_determinant(rows):
+    return sum(
+        (-1) ** sum(perm[i] > perm[j] for i, j in itertools.combinations(range(3), 2))
+        * rows[0][perm[0]] * rows[1][perm[1]] * rows[2][perm[2]]
+        for perm in itertools.permutations(range(3))
+    )
+
+
+@st.composite
+def plane_points_with_incidences(draw):
+    """Up to eight small integer points, each new one free, a copy of an
+    earlier point or a combination of two earlier points."""
+    coordinate = st.integers(-4, 4)
+    points = [draw(st.tuples(coordinate, coordinate, coordinate))]
+    for _ in range(draw(st.integers(2, 7))):
+        kind = draw(st.sampled_from(("free", "copy", "collinear")))
+        if kind == "copy":
+            points.append(draw(st.sampled_from(points)))
+        elif kind == "collinear" and len(points) > 1:
+            p, q = draw(st.permutations(points))[:2]
+            s, t = draw(coordinate), draw(coordinate)
+            points.append(tuple(s * x + t * y for x, y in zip(p, q)))
+        else:
+            points.append(draw(st.tuples(coordinate, coordinate, coordinate)))
+    return points
+
+
+@settings(deadline=None, max_examples=300)
+@given(plane_points_with_incidences())
+def test_each_bracket_is_the_determinant_of_its_three_points(points):
+    brackets, third_points = stability_module._plane_brackets(points)
+    triples = list(itertools.combinations(range(len(points)), 3))
+    assert list(brackets) == triples
+    zeros = set()
+    for a, b, c in triples:
+        assert brackets[a, b, c] == leibniz_determinant([points[a], points[b], points[c]])
+        if brackets[a, b, c] == 0:
+            zeros.add(frozenset((a, b, c)))
+    expected = {}
+    for pair in itertools.combinations(range(len(points)), 2):
+        thirds = [c for c in range(len(points)) if frozenset((*pair, c)) in zeros]
+        if thirds:
+            expected[pair] = thirds
+    assert third_points == expected
 
 
 def test_lies_on_conic():
@@ -328,7 +381,8 @@ def conic_by_monomial_rank(config):
 def test_monomial_determinant_is_the_bracket_polynomial():
     # over Z[x1..z6], with no expansion left to chance: the Veronese
     # determinant is [123][145][246][356] - [124][135][236][456], and the
-    # sides lies_on_conic compares differ by exactly that polynomial
+    # products lies_on_conic reads from the bracket table differ by exactly
+    # that polynomial
     ring, *coordinates = sympy.ring(sympy.symbols("x1:7 y1:7 z1:7"), sympy.ZZ)
     points = list(zip(coordinates[0:6], coordinates[6:12], coordinates[12:18]))
 
@@ -343,7 +397,10 @@ def test_monomial_determinant_is_the_bracket_polynomial():
         bracket(1, 2, 3) * bracket(1, 4, 5) * bracket(2, 4, 6) * bracket(3, 5, 6)
         - bracket(1, 2, 4) * bracket(1, 3, 5) * bracket(2, 3, 6) * bracket(4, 5, 6)
     )
-    left, right = stability_module._conic_sides(points)
+    table, _ = stability_module._plane_brackets(points)
+    assert all(table[a, b, c] == bracket(a + 1, b + 1, c + 1) for a, b, c in table)
+    left = table[0, 1, 2] * table[0, 3, 4] * table[1, 3, 5] * table[2, 4, 5]
+    right = table[0, 1, 3] * table[0, 2, 4] * table[1, 2, 5] * table[3, 4, 5]
     assert veronese == brackets == left - right
     assert len(brackets.terms()) == 720
 

@@ -148,9 +148,10 @@ def test_degenerations_reach_the_closed_orbit():
 
 def test_report_strata_group_checks_against_published_values(monkeypatch):
     # the report's expected values are literals: a wrong computed stabilizer
-    # fails exactly the eleven stabilizer checks, each against its published value
+    # table fails exactly the eleven stabilizer checks, each against its
+    # published value
     assert report._semistable_strata().passed
-    monkeypatch.setattr(report, "stabilizer_dimension", lambda config: 5)
+    monkeypatch.setattr(strata, "STRATUM_STABILIZER_DIMENSION", dict.fromkeys(STRATUM_LABELS, 5))
     group = report._semistable_strata()
     assert not group.passed
     failed = {check.name: check.expected for check in group.checks if not check.passed}

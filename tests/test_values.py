@@ -1,8 +1,9 @@
 """The contract of the library's frozen value types.
 
 A value equals exactly the instances of its own class with equal fields,
-hashes as the tuple of its fields, prints as ``Name(field=value, ...)`` and
-refuses assignment and deletion.  The reprs and the two sha256 digests were
+hashes as the tuple of its fields, prints as ``Name(field=value, ...)`` (a
+divisor prints its coefficients as a linear form) and refuses assignment
+and deletion.  The reprs and the two sha256 digests were
 recorded from the ``dataclasses`` implementation these types replaced, so
 they pin the printed form across it.
 """
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from sixpoint.divisors import BaseLocus, CCurve, ChamberReport, FCurve, Model
+from sixpoint.divisors import BaseLocus, CCurve, ChamberReport, FCurve, Model, SymmetricDivisor
 from sixpoint.genus2 import M2ChamberReport, M2Divisor, M2Model, Space
 from sixpoint.hypersurfaces import DualityReport, PairLine
 from sixpoint.report import Check, CheckGroup, PaperReport, build_report
@@ -50,6 +51,8 @@ VALUES = [
     (StratumSignature, (((0, 1), (2,)), (LINE,)),
      "StratumSignature(coincidence=((0, 1), (2,)), lines=("
      "LineRecord(marks=(0, 1, 2), support=3, weighted=3),))"),
+    # folds its coefficients and keeps its own repr, a linear form in the B_i
+    (SymmetricDivisor, (6, {2: HALF, 4: 1}), "SymmetricDivisor(n=6, 3/2*B2)"),
     (FCurve, ((3, 1, 1, 1),), "FCurve(partition=(1, 1, 1, 3))"),
     (CCurve, (4,), "CCurve(j=4)"),
     (ChamberReport, (Model.SEGRE_CUBIC, BaseLocus.EMPTY, True),
@@ -84,7 +87,7 @@ def field_values(value) -> tuple:
 
 
 def test_every_value_type_is_listed():
-    assert len(VALUES) == len(set(IDS)) == 17
+    assert len(VALUES) == len(set(IDS)) == 18
 
 
 @pytest.mark.parametrize("cls, args, text", VALUES, ids=IDS)
