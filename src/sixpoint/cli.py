@@ -25,14 +25,18 @@ Divisor expression grammar (whitespace-insensitive)::
     symbol := 'B'<index> | 'K' | 'psi' | 'DA'
 
 A bare coefficient is only allowed when it is zero (the zero divisor); the
-'*' between a coefficient and its symbol is optional.  ``DA`` is the
-quotient polarization and needs n = 6.  An expression that starts with a
-minus is passed as ``--expr=-K``: argparse reads ``--expr -K`` as two flags.
+'*' between a coefficient and its symbol is optional.  The number of
+marked points n is ``--n`` for ``divisor eval`` and ``intersect`` and 6
+for ``chamber`` and ``baselocus``; ``DA`` is the quotient polarization and
+needs n = 6.  An expression that starts with a minus is passed as
+``--expr=-K``: argparse reads ``--expr -K`` as two flags.
 
 Configuration file format: one point per line, d+1 whitespace-separated
-rationals (``p/q`` or integers); ``#`` starts a comment; blank lines are
-ignored.  Weights are comma-separated rationals, inline or in a file; in a
-file a line break also separates two weights, and ``#`` starts a comment.
+rationals (``p/q`` or integers), d being ``--dim`` for ``git stability``
+and ``limit`` and 2 for the other actions; blank lines are ignored.
+Weights (``git stability`` only) are comma-separated rationals, inline or
+in a file, where a line break also separates two weights.  In both files
+``#`` starts a comment, and a leading UTF-8 byte-order mark is skipped.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .exact import parse_rational
 
 if TYPE_CHECKING:
     from .divisors import CCurve, FCurve, SymmetricDivisor
-    from .stability import PointConfiguration, WeightVector
+    from .stability import PointConfiguration
 
 __all__ = ["main", "entry", "parse_divisor_expression", "parse_points_text", "CLIError"]
 
@@ -202,27 +206,9 @@ def _parse_curve(text: str) -> FCurve | CCurve:
     raise CLIError(f"bad curve spec {text!r} (use F:a,b,c,d or C:j)")
 
 
-def _load_weights(args, config: PointConfiguration) -> WeightVector:
-    from .stability import WeightVector, symmetric_weights
-
-    text, flag = args.weights, "--weights"
-    if args.weights_file is not None:
-        text, flag = _read_file(args.weights_file), "--weights-file"
-        lines = [kept for line in text.splitlines() if (kept := line.split("#", 1)[0].strip())]
-        # a line break separates two weights, unless the line ends in a comma
-        text = ",".join([line.removesuffix(",") for line in lines[:-1]] + lines[-1:])
-    if text is None:
-        return symmetric_weights(config.n, config.d)
-    values = _parse_csv_rationals(text, "weights", flag)
-    try:
-        return WeightVector(config.d, values)
-    except ValueError as exc:
-        raise CLIError(f"weights: {exc}") from exc
-
-
 def _read_file(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise CLIError(f"cannot read {path}: {exc}") from exc
@@ -253,7 +239,7 @@ def _divisor_intersect(args) -> tuple[list[str], dict]:
 def _divisor_chamber(args) -> tuple[list[str], dict]:
     from .divisors import mori_model
 
-    div = parse_divisor_expression(args.expr, args.n)
+    div = parse_divisor_expression(args.expr)
     rep = mori_model(div)
     model, locus, wall = rep.model.value, rep.stable_base_locus.value, rep.boundary_case
     lines = [
@@ -269,17 +255,30 @@ def _divisor_chamber(args) -> tuple[list[str], dict]:
 def _divisor_baselocus(args) -> tuple[list[str], dict]:
     from .divisors import stable_base_locus
 
-    div = parse_divisor_expression(args.expr, args.n)
+    div = parse_divisor_expression(args.expr)
     locus = stable_base_locus(div).value
     lines = [f"D = {div}", f"stable base locus: {locus}"]
     return lines, {"divisor": str(div), "stableBaseLocus": locus}
 
 
 def _git_stability(args) -> tuple[list[str], dict]:
-    from .stability import stability_status
+    from .stability import WeightVector, stability_status, symmetric_weights
 
     config = parse_points_text(_read_file(args.config), args.dim)
-    weights = _load_weights(args, config)
+    text, flag = args.weights, "--weights"
+    if args.weights_file is not None:
+        text, flag = _read_file(args.weights_file), "--weights-file"
+        rows = [kept for line in text.splitlines() if (kept := line.split("#", 1)[0].strip())]
+        # a line break separates two weights, unless the line ends in a comma
+        text = ",".join([row.removesuffix(",") for row in rows[:-1]] + rows[-1:])
+    if text is None:
+        weights = symmetric_weights(config.n, config.d)
+    else:
+        parsed = _parse_csv_rationals(text, "weights", flag)
+        try:
+            weights = WeightVector(config.d, parsed)
+        except ValueError as exc:
+            raise CLIError(f"weights: {exc}") from exc
     verdict = stability_status(config, weights)
     values = [str(w) for w in weights.weights]
     lines = [
@@ -307,13 +306,10 @@ def _git_stratum(args) -> tuple[list[str], dict]:
     from .stability import stability_status, stabilizer_dimension, symmetric_weights
     from .strata import classify_stratum, stratum_signature
 
-    config = parse_points_text(_read_file(args.config), args.dim)
-    if config.d != 2 or config.n != 6:
+    config = parse_points_text(_read_file(args.config), 2)
+    if config.n != 6:
         raise CLIError("strata I-XI are defined for six points in the plane")
-    weights = _load_weights(args, config)
-    if weights != symmetric_weights(6, 2):
-        raise CLIError("strata I-XI are defined for the symmetric weights")
-    verdict = stability_status(config, weights)
+    verdict = stability_status(config, symmetric_weights(6, 2))
     sig = stratum_signature(config)
     label = classify_stratum(sig, verdict)
     stab = stabilizer_dimension(config)
@@ -357,7 +353,7 @@ def _git_limit(args) -> tuple[list[str], dict]:
 def _git_degenerate(args) -> tuple[list[str], dict]:
     from .strata import polystable_degeneration
 
-    closed, label = polystable_degeneration(parse_points_text(_read_file(args.config), args.dim))
+    closed, label = polystable_degeneration(parse_points_text(_read_file(args.config), 2))
     points = [[str(x) for x in p] for p in closed.points]
     lines = [f"stratum: {label}", "# closed-orbit configuration"] + [" ".join(p) for p in points]
     return lines, {"stratum": label, "points": points}
@@ -366,7 +362,7 @@ def _git_degenerate(args) -> tuple[list[str], dict]:
 def _git_conic(args) -> tuple[list[str], dict]:
     from .stability import lies_on_conic
 
-    answer = lies_on_conic(parse_points_text(_read_file(args.config), args.dim))
+    answer = lies_on_conic(parse_points_text(_read_file(args.config), 2))
     return [f"on conic: {str(answer).lower()}"], {"onConic": answer}
 
 
@@ -532,10 +528,9 @@ def _paper_report(args) -> tuple[list[str], dict]:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts and dimensions (``--samples``, ``--dim``,
-    ``--n``), so a bad value is a usage error before any file is read or
-    work is done.  ASCII only: ``str.isdigit`` passes ``'²'`` (int refuses
-    it) and ``'١'``."""
+    """argparse type for ``--samples``, ``--dim`` and ``--n``: a bad value
+    is a usage error before any file is read or work is done.  ASCII only:
+    ``str.isdigit`` passes ``'²'`` (int refuses it) and ``'١'``."""
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -603,24 +598,27 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
             help="divisor expression, e.g. 'K + 1/3*psi'; write one that starts "
             "with a minus as --expr=-K",
         )
-        expr.add_argument("--n", type=_positive_int, default=6, help="number of marked points (default 6)")
         div = actions(
             expr, eval=_divisor_eval, intersect=_divisor_intersect, chamber=_divisor_chamber,
             baselocus=_divisor_baselocus,
         )
+        for name in ("eval", "intersect"):
+            div[name].add_argument("--n", type=_positive_int, default=6, help="number of marked points (default 6)")
         div["intersect"].add_argument("--curve", required=True, help="F:a,b,c,d or C:j")
     elif command == "git":
         config = argparse.ArgumentParser(add_help=False, parents=[as_json])
         config.add_argument("config", help="configuration file, one point per line")
-        config.add_argument("--dim", type=_positive_int, default=2, help="ambient projective dimension (default 2)")
         git = actions(
             config, stability=_git_stability, stratum=_git_stratum, limit=_git_limit,
             degenerate=_git_degenerate, conic=_git_conic,
         )
-        for name in ("stability", "stratum"):
-            weights = git[name].add_mutually_exclusive_group()
-            weights.add_argument("--weights", help="comma-separated weights (default symmetric)")
-            weights.add_argument("--weights-file", help="file holding comma-separated weights")
+        for name in ("stability", "limit"):
+            git[name].add_argument(
+                "--dim", type=_positive_int, default=2, help="ambient projective dimension (default 2)"
+            )
+        weights = git["stability"].add_mutually_exclusive_group()
+        weights.add_argument("--weights", help="comma-separated weights (default symmetric)")
+        weights.add_argument("--weights-file", help="file holding comma-separated weights")
         git["limit"].add_argument("--lps", required=True, help="diagonal subgroup weights, e.g. 2,-1,-1")
     elif command == "hypersurface":
         hyp = actions(

@@ -14,8 +14,8 @@ multiples act alike on projective points), and the conic membership test
 for six points in the plane.  The plane runs no elimination: one table of
 the support's brackets (p_a x p_b) . p_c (:func:`_plane_brackets`) gives
 its lines and the conic test [123][145][246][356] = [124][135][236][456].
-A configuration keeps its flats, brackets and last stability verdict, so
-asking again is a lookup.
+A configuration keeps its support, flats, brackets and last stability
+verdict, so asking again is a lookup.
 """
 
 from __future__ import annotations
@@ -69,17 +69,16 @@ class PointConfiguration(_Value):
             canon.append(v)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "points", tuple(canon))
+        object.__setattr__(self, "_support", tuple(dict.fromkeys(canon)))
 
     @property
     def n(self) -> int:
         return len(self.points)
 
     def support(self) -> tuple[tuple[int, ...], ...]:
-        """Distinct points, in order of first appearance."""
-        seen: dict[tuple[int, ...], None] = {}
-        for p in self.points:
-            seen.setdefault(p, None)
-        return tuple(seen)
+        """Distinct points, in order of first appearance; one tuple, built
+        with the configuration."""
+        return self._support
 
     @cached_property
     def flats(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -388,22 +387,19 @@ def _transformed_limit(
     return None if limits == image else PointConfiguration(config.d, limits)
 
 
-def random_transformation(rng, d: int, bound: int = 5) -> IntegerMatrix:
-    """A random invertible integer matrix with entries in [-bound, bound],
-    as a tuple of rows.
+def random_transformation(rng, d: int) -> IntegerMatrix:
+    """A random invertible (d+1)x(d+1) integer matrix with entries in
+    [-5, 5], as a tuple of rows.
 
-    Candidates are drawn until one is invertible.  For d >= 1 and
-    bound >= 1 the identity is among the candidates, so each draw succeeds
-    with positive probability and the loop ends; other arguments raise
-    ValueError.
+    Candidates are drawn until one is invertible.  For d >= 1 the identity
+    is among the candidates, so each draw succeeds with positive
+    probability and the loop ends; d < 1 raises ValueError.
     """
     if d < 1:
         raise ValueError(f"ambient dimension must be at least 1, got {d}")
-    if bound < 1:
-        raise ValueError(f"entry bound must be at least 1, got {bound}")
     m = d + 1
     while True:
-        entries = [rng.randint(-bound, bound) for _ in range(m * m)]
+        entries = [rng.randint(-5, 5) for _ in range(m * m)]
         rows = tuple(tuple(entries[i * m : (i + 1) * m]) for i in range(m))
         if len(echelon(rows)[1]) == m:
             return rows
@@ -422,7 +418,7 @@ def lies_on_conic(config: PointConfiguration) -> bool:
     """
     if config.d != 2 or config.n != 6:
         raise ValueError("conic membership is a test for six points in the plane")
-    if len(set(config.points)) < 6:
+    if len(config.support()) < 6:
         return True
     b = config._brackets[0]
     return b[0, 1, 2] * b[0, 3, 4] * b[1, 3, 5] * b[2, 4, 5] == (

@@ -266,8 +266,9 @@ def test_divisor_eval_other_point_counts(capsys):
 def test_point_count_must_be_a_positive_ascii_integer(capsys):
     # int() reads "٦" as 6 and "1_0" as 10
     for n in ("0", "-1", "²", "٦", "1_0"):
-        for action in ("eval", "chamber"):
-            code, out, last = usage_error(capsys, ["divisor", action, "--expr", "K", "--n", n])
+        for action, *rest in (["eval"], ["intersect", "--curve", "C:4"]):
+            argv = ["divisor", action, "--expr", "K", *rest, "--n", n]
+            code, out, last = usage_error(capsys, argv)
             assert code == 2 and out == "", n
             assert last.endswith(f"argument --n: expected a positive integer, got '{n}'"), n
 
@@ -407,25 +408,19 @@ def test_git_stratum_rejects_non_sextuples(capsys, tmp_path):
     code, out, err = run(capsys, ["git", "stratum", str(vertices)])
     assert code == 2 and out == ""
     assert err == "error: strata I-XI are defined for six points in the plane\n"
-
-
-def test_git_stratum_needs_the_symmetric_weights(capsys, stratum_file, tmp_path):
-    code, out, err = run(
-        capsys, ["git", "stratum", stratum_file, "--weights", "3/4,1/4,1/2,1/2,1/2,1/2"]
+    # the file is read in the plane, so six points of P^3 fail on line 1
+    solid = tmp_path / "solid.cfg"
+    solid.write_text("1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n1 1 1 1\n1 2 3 4\n")
+    assert run(capsys, ["git", "stratum", str(solid)]) == (
+        2, "", "error: line 1: expected 3 coordinates, got 4\n"
     )
-    assert code == 2 and out == ""
-    assert err == "error: strata I-XI are defined for the symmetric weights\n"
-    weights = tmp_path / "weights.txt"
-    weights.write_text("1/2,1/2,1/2,1/2,1/2,1/2\n")
-    for flag, value in (("--weights", "1/2,1/2,1/2,1/2,1/2,1/2"), ("--weights-file", weights)):
-        code, out, _ = run(capsys, ["git", "stratum", stratum_file, flag, str(value)])
-        assert code == 0 and "stratum: I\n" in out
 
 
 def test_git_actions_without_weights_reject_weight_flags(capsys, stratum_file, tmp_path):
     weights = tmp_path / "weights.txt"
     weights.write_text("1/2,1/2,1/2,1/2,1/2,1/2\n")
-    for action, *rest in (["limit", "--lps", "1,0,0"], ["degenerate"], ["conic"]):
+    # stratum judges with the symmetric weights, for which the strata are defined
+    for action, *rest in (["stratum"], ["limit", "--lps", "1,0,0"], ["degenerate"], ["conic"]):
         for flag, value in (("--weights", "1/2,1/2,1/2,1/2,1/2,1/2"), ("--weights-file", weights)):
             argv = ["git", action, stratum_file, *rest, flag, str(value)]
             assert usage_error(capsys, argv) == (
@@ -446,6 +441,12 @@ def test_git_actions_without_weights_reject_weight_flags(capsys, stratum_file, t
          "divisor chamber takes no --curve"),
         (["git", "stability", "CONFIG", "--lps", "1,0,0"], "git stability takes no --lps"),
         (["git", "degenerate", "CONFIG", "--lps", "1,0,0"], "git degenerate takes no --lps"),
+        # six points in the plane, and the chamber decomposition of M_0,6
+        (["git", "stratum", "CONFIG", "--dim", "2"], "git stratum takes no --dim"),
+        (["git", "degenerate", "CONFIG", "--dim", "3"], "git degenerate takes no --dim"),
+        (["git", "conic", "CONFIG", "--dim", "1"], "git conic takes no --dim"),
+        (["divisor", "chamber", "--expr", "B2", "--n", "6"], "divisor chamber takes no --n"),
+        (["divisor", "baselocus", "--expr", "B2", "--n", "7"], "divisor baselocus takes no --n"),
         (["hypersurface", "nodes", "--samples", "5", "--seed", "3"],
          "hypersurface nodes takes no --samples or --seed"),
         (["hypersurface", "lines", "--seed", "3"], "hypersurface lines takes no --seed"),
@@ -498,9 +499,9 @@ def test_flags_before_the_action_get_a_hint(capsys, stratum_file):
          "--json (flags go after the action: sixpoint git stratum --json ...)"),
         (["--json", "hypersurface", "duality"],
          "--json (flags go after the action: sixpoint hypersurface duality --json ...)"),
-        (["git", "--weights=1/2,1/2,1/2,1/2,1/2,1/2", "stratum", stratum_file],
+        (["git", "--weights=1/2,1/2,1/2,1/2,1/2,1/2", "stability", stratum_file],
          "--weights=1/2,1/2,1/2,1/2,1/2,1/2 (flags go after the action: sixpoint git"
-         " stratum --weights=1/2,1/2,1/2,1/2,1/2,1/2 ...)"),
+         " stability --weights=1/2,1/2,1/2,1/2,1/2,1/2 ...)"),
         (["--json", "paper-report"],
          "--json (flags go after the command: sixpoint paper-report --json ...)"),
         # no hint unless every unread token is a flag of the action
@@ -561,14 +562,14 @@ PARSER_FLAGS = {
     ("divisor",): "-h",
     ("divisor", "eval"): "-h --json --expr --n",
     ("divisor", "intersect"): "-h --json --expr --n --curve",
-    ("divisor", "chamber"): "-h --json --expr --n",
-    ("divisor", "baselocus"): "-h --json --expr --n",
+    ("divisor", "chamber"): "-h --json --expr",
+    ("divisor", "baselocus"): "-h --json --expr",
     ("git",): "-h",
     ("git", "stability"): "-h --json --dim --weights --weights-file",
-    ("git", "stratum"): "-h --json --dim --weights --weights-file",
+    ("git", "stratum"): "-h --json",
     ("git", "limit"): "-h --json --dim --lps",
-    ("git", "degenerate"): "-h --json --dim",
-    ("git", "conic"): "-h --json --dim",
+    ("git", "degenerate"): "-h --json",
+    ("git", "conic"): "-h --json",
     ("hypersurface",): "-h",
     ("hypersurface", "eval"): "-h --json --surface --point",
     ("hypersurface", "singular"): "-h --json --surface --point",
@@ -670,6 +671,36 @@ def test_git_conic_command(capsys, conic_file, stratum_file):
     assert code == 0 and "on conic: true" in out
     code, out, _ = run(capsys, ["git", "conic", stratum_file, "--json"])
     assert code == 0 and json.loads(out)["onConic"] is True
+
+
+def test_a_leading_byte_order_mark_is_skipped(capsys, stratum_file, tmp_path):
+    # editors on Windows save UTF-8 files with a byte-order mark first; it
+    # used to reach the rational parser as part of the first field
+    points = STRATUM_I.split("\n", 1)[1]  # no comment line: the mark precedes a coordinate
+    marked = tmp_path / "marked.cfg"
+    marked.write_text("\ufeff" + points, encoding="utf-8")
+    for argv in (
+        ["git", "stratum", "CONFIG"],
+        ["git", "stability", "CONFIG", "--json"],
+        ["git", "degenerate", "CONFIG"],
+        ["git", "conic", "CONFIG"],
+        ["git", "limit", "CONFIG", "--lps", "1,0,0"],
+    ):
+        plain = run(capsys, [stratum_file if arg == "CONFIG" else arg for arg in argv])
+        assert plain[0] == 0, argv
+        assert run(capsys, [str(marked) if arg == "CONFIG" else arg for arg in argv]) == plain, argv
+    weights = tmp_path / "weights.txt"
+    weights.write_text("\ufeff1/2,1/2,1/2,1/2,1/2,1/2\n", encoding="utf-8")
+    assert run(capsys, ["git", "stability", stratum_file, "--weights-file", str(weights)]) == run(
+        capsys, ["git", "stability", stratum_file]
+    )
+    # only the mark that starts the file is skipped
+    later = tmp_path / "later.cfg"
+    first, rest = points.split("\n", 1)
+    later.write_text(f"{first}\n\ufeff{rest}", encoding="utf-8")
+    assert run(capsys, ["git", "stratum", str(later)]) == (
+        2, "", "error: line 2: not a rational number: '\\ufeff1'\n"
+    )
 
 
 def test_git_missing_file(capsys):
@@ -821,8 +852,8 @@ def test_negative_seeds_are_refused_before_any_work(capsys, monkeypatch):
 def test_ambient_dimension_must_be_positive(capsys, stratum_file):
     # the value used to reach the file parser: "expected 0 coordinates, got 3"
     for dim in ("0", "-1", "²", "١"):
-        for action in ("stratum", "stability", "conic"):
-            argv = ["git", action, stratum_file, "--dim", dim]
+        for action, *rest in (["stability"], ["limit", "--lps", "1,0,0"]):
+            argv = ["git", action, stratum_file, *rest, "--dim", dim]
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             _, err = capsys.readouterr()
