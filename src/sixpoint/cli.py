@@ -109,7 +109,7 @@ def parse_divisor_expression(text: str, n: int = 6) -> SymmetricDivisor:
         at = m.start("coef" if coef is not None else "symbol")
         if sign is None and pos > 0:
             raise CLIError(f"parse error at position {at}: expected '+' or '-'")
-        value = Fraction(1) if coef is None else parse_rational(coef)
+        value = Fraction(1) if coef is None else _parse_rational_or_fail(coef, f"parse error at position {at}")
         if symbol is not None:
             term = symbol_divisor(symbol, m.start("symbol"))
             total = total + (-value if sign == "-" else value) * term
@@ -508,7 +508,7 @@ def _m2(args) -> tuple[list[str], dict]:
 def _paper_report(args) -> tuple[list[str], dict]:
     from .report import build_report
 
-    report = build_report(duality_samples=args.samples, duality_seed=args.seed)
+    report = build_report()
     lines, groups = [], []
     for group in report.groups:
         lines.append(f"[{group.name}]")
@@ -642,8 +642,6 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     else:  # paper-report
         command_parser.set_defaults(run=_paper_report, leaf=command_parser)
         command_parser.add_argument("--json", action="store_true")
-        command_parser.add_argument("--samples", type=_positive_int, default=60, help="duality sample count")
-        command_parser.add_argument("--seed", type=_nonnegative_int, default=7)
     return parser
 
 

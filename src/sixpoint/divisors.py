@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Mapping
 
-from .exact import _cleared, _rational, _Value
+from .exact import _cleared, _integers, _rational, _Value
 
 __all__ = [
     "SymmetricDivisor",
@@ -157,12 +157,15 @@ class FCurve(_Value):
 
     Only the four part sizes matter against symmetric divisors; the
     partition is stored sorted ascending and must consist of positive parts.
+    Parts and the index of :class:`CCurve` follow the exact-input rule of
+    :func:`exact._integers`: a float or a str raises TypeError, and 3/2
+    raises ValueError rather than being truncated to 1.
     """
 
     partition: tuple[int, int, int, int]
 
     def __init__(self, partition):
-        parts = tuple(sorted(int(p) for p in partition))
+        parts = tuple(sorted(_integers(partition, "parts must be integers")))
         if len(parts) != 4 or any(p < 1 for p in parts):
             raise ValueError(f"need four positive parts, got {partition}")
         object.__setattr__(self, "partition", parts)
@@ -182,6 +185,7 @@ class CCurve(_Value):
     j: int
 
     def __init__(self, j: int):
+        (j,) = _integers([j], "curve index must be an integer")
         if j < 2:
             raise ValueError(f"curve index must be at least 2, got {j}")
         object.__setattr__(self, "j", j)

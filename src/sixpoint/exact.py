@@ -101,6 +101,17 @@ def _rational(value) -> Fraction:
     return Fraction(value)
 
 
+def _integers(values, rule: str) -> tuple[int, ...]:
+    """Exact integers (ints, or rationals with denominator 1) as ints.  A
+    float or a str raises TypeError, as in :func:`_rational`, and a
+    rational that is not an integer raises ValueError, stating ``rule``,
+    rather than being truncated to another value."""
+    rationals = tuple(_rational(v) for v in values)
+    if any(r.denominator != 1 for r in rationals):
+        raise ValueError(f"{rule}, got {', '.join(map(str, rationals))}")
+    return tuple(r.numerator for r in rationals)
+
+
 def _cleared(vec: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
     """The vector times the lcm of its denominators, and that lcm."""
     scale = lcm(*(v.denominator for v in vec))

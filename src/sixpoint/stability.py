@@ -27,7 +27,7 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .exact import IntegerMatrix, _cleared, _rational, _Value, echelon, integer_vector
+from .exact import IntegerMatrix, _cleared, _integers, _rational, _Value, echelon, integer_vector
 
 __all__ = [
     "PointConfiguration",
@@ -194,6 +194,8 @@ def symmetric_weights(n: int, d: int) -> WeightVector:
     shares it.
     """
     if (n, d) not in _SYMMETRIC_WEIGHTS:
+        if n < 1:
+            raise ValueError(f"symmetric weights need at least one point, got n={n}")
         _SYMMETRIC_WEIGHTS[n, d] = WeightVector(d, [Fraction(d + 1, n)] * n)
     return _SYMMETRIC_WEIGHTS[n, d]
 
@@ -312,7 +314,7 @@ class OneParameterSubgroup(_Value):
 
     The weights are integers and must not all be equal, since a constant
     weight vector acts trivially on projective space.  They follow the
-    exact-input rule of :func:`exact._rational`: a float raises TypeError,
+    exact-input rule of :func:`exact._integers`: a float raises TypeError,
     and a rational that is not an integer raises ValueError rather than
     being truncated to a different subgroup.
     """
@@ -320,10 +322,7 @@ class OneParameterSubgroup(_Value):
     weights: tuple[int, ...]
 
     def __init__(self, weights: Sequence[int]):
-        rationals = tuple(_rational(w) for w in weights)
-        if any(r.denominator != 1 for r in rationals):
-            raise ValueError(f"weights must be integers, got {', '.join(map(str, rationals))}")
-        ws = tuple(r.numerator for r in rationals)
+        ws = _integers(weights, "weights must be integers")
         if len(set(ws)) < 2:
             raise ValueError("weights must not all be equal")
         object.__setattr__(self, "weights", ws)

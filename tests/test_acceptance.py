@@ -441,7 +441,7 @@ def test_criterion_10_property_suites(capsys):
     code2 = cli.main(argv)
     out2 = capsys.readouterr().out
     check(failures, (code1, out1) == (code2, out2), "seeded CLI output not byte-identical")
-    argv = ["paper-report", "--samples", "10", "--json"]
+    argv = ["paper-report", "--json"]
     code1 = cli.main(argv)
     out1 = capsys.readouterr().out
     code2 = cli.main(argv)

@@ -106,6 +106,9 @@ def test_expression_parse_errors():
          " (only the zero divisor is written without one)"),
         ("1/3", "parse error at position 0: 1/3 needs a symbol"
          " (only the zero divisor is written without one)"),
+        # a zero denominator is blamed on its coefficient
+        ("1/0*B2", "parse error at position 0: not a rational number: '1/0'"),
+        ("B2 + 3/0 B3", "parse error at position 5: not a rational number: '3/0'"),
     ],
 )
 def test_expression_parse_error_positions(text, message):
@@ -454,6 +457,9 @@ def test_git_actions_without_weights_reject_weight_flags(capsys, stratum_file, t
           "--samples", "5"], "hypersurface eval takes no --samples"),
         (["hypersurface", "singular", "--surface", "segre", "--point", "1,1,1,-1,-1,-1",
           "--seed", "3", "--samples", "5"], "hypersurface singular takes no --seed or --samples"),
+        # the report is one battery: hypersurface duality samples at another count or seed
+        (["paper-report", "--samples", "5"], "paper-report takes no --samples"),
+        (["paper-report", "--seed", "7"], "paper-report takes no --seed"),
     ],
 )
 def test_actions_reject_flags_they_do_not_read(capsys, stratum_file, argv, case):
@@ -542,13 +548,12 @@ def test_a_flag_value_taken_for_the_command_gets_the_hint(capsys):
     root = ("sixpoint: error: argument command: invalid choice: {!r} (choose from"
             " 'divisor', 'git', 'hypersurface', 'm2', 'paper-report')")
     cases = [
-        (["--samples", "5", "paper-report"],
-         root.format("5") + " (flags go after the command: sixpoint paper-report --samples 5 ...)"),
         (["--alpha", "1", "m2"],
          root.format("1") + " (flags go after the command: sixpoint m2 --alpha 1 ...)"),
         # no hint for a flag no command reads, one that takes no value, or
         # one that only an action of the command reads
         (["--tol", "5", "paper-report"], root.format("5")),
+        (["--samples", "5", "paper-report"], root.format("5")),
         (["--json", "5", "paper-report"], root.format("5")),
         (["--samples", "5", "hypersurface", "duality"], root.format("5")),
     ]
@@ -577,7 +582,7 @@ PARSER_FLAGS = {
     ("hypersurface", "nodes"): "-h --json",
     ("hypersurface", "duality"): "-h --json --samples --seed",
     ("m2",): "-h --json --alpha --lambda --delta0 --delta1 --Delta0 --Delta1",
-    ("paper-report",): "-h --json --samples --seed",
+    ("paper-report",): "-h --json",
 }
 CHOICES = {
     (): "{divisor,git,hypersurface,m2,paper-report}",
@@ -794,9 +799,9 @@ def test_hypersurface_duality_command(capsys, monkeypatch):
     monkeypatch.setattr(hypersurfaces_mod, "_image_sums", corrupted_sums)
     code, out, _ = run(capsys, argv)
     assert code == 1 and "pass: false" in out and "nonzero residuals: 100" in out
-    code, out, _ = run(capsys, ["paper-report", "--samples", "20"])
+    code, out, _ = run(capsys, ["paper-report"])
     assert code == 1
-    assert "FAIL sampled images exactly on the quartic (20 samples, seed 7)" in out
+    assert "FAIL sampled images exactly on the quartic (60 samples, seed 7)" in out
     assert "FAIL pair-pattern images on the quartic" in out
 
 
@@ -804,7 +809,7 @@ def test_tolerance_flag_is_rejected(capsys):
     for tol in ("1e-9", "nan", "inf"):
         for argv in (
             ["hypersurface", "duality", "--samples", "20", "--tol", tol],
-            ["paper-report", "--samples", "5", "--tol", tol],
+            ["paper-report", "--tol", tol],
         ):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
@@ -816,17 +821,13 @@ def test_tolerance_flag_is_rejected(capsys):
 def test_sample_count_is_checked_before_any_work(capsys, monkeypatch):
     # "²" passes str.isdigit and int() refuses it; int() reads "١" as 1
     calls = []
-    monkeypatch.setattr("sixpoint.report._divisor_relations", lambda: calls.append(1))
+    monkeypatch.setattr("sixpoint.hypersurfaces.duality_sample_check", lambda *a, **k: calls.append(1))
     for count in ("0", "-3", "abc", "1.5", "²", "١"):
-        for argv in (
-            ["paper-report", "--samples", count],
-            ["hypersurface", "duality", "--samples", count],
-        ):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(argv)
-            _, err = capsys.readouterr()
-            assert exc.value.code == 2, argv
-            assert "expected a positive integer" in err, argv
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["hypersurface", "duality", "--samples", count])
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2, count
+        assert "expected a positive integer" in err, count
     assert calls == []
 
 
@@ -834,10 +835,9 @@ def test_negative_seeds_are_refused_before_any_work(capsys, monkeypatch):
     # random.Random(-5) draws what Random(5) draws, so --seed -5 used to
     # print "seed: -5" over the samples of seed 5
     calls = []
-    monkeypatch.setattr("sixpoint.report._divisor_relations", lambda: calls.append(1))
+    monkeypatch.setattr("sixpoint.hypersurfaces.duality_sample_check", lambda *a, **k: calls.append(1))
     for seed in ("-5", "-1", "abc", "1.5", "²", "١"):
         for argv in (
-            ["paper-report", "--seed", seed],
             ["hypersurface", "duality", "--seed", seed],
             ["hypersurface", "duality", f"--seed={seed}"],
         ):
@@ -845,6 +845,7 @@ def test_negative_seeds_are_refused_before_any_work(capsys, monkeypatch):
             assert code == 2 and out == "", argv
             assert last.endswith(f"argument --seed: expected a nonnegative integer, got '{seed}'"), argv
     assert calls == []
+    monkeypatch.undo()
     code, out, _ = run(capsys, ["hypersurface", "duality", "--samples", "5", "--seed", "0"])
     assert code == 0 and "seed: 0" in out
 
@@ -895,13 +896,13 @@ def test_m2_rejects_empty_coefficients(capsys):
 
 
 def test_paper_report_passes(capsys):
-    code, out, _ = run(capsys, ["paper-report", "--samples", "30"])
+    code, out, _ = run(capsys, ["paper-report"])
     assert code == 0
     assert "summary:" in out and "FAIL" not in out
 
 
 def test_paper_report_json(capsys):
-    code, out, _ = run(capsys, ["paper-report", "--samples", "30", "--json"])
+    code, out, _ = run(capsys, ["paper-report", "--json"])
     payload = json.loads(out)
     assert code == 0 and payload["pass"] is True
     names = {group["name"] for group in payload["groups"]}
@@ -919,7 +920,7 @@ def test_paper_report_detects_a_broken_pairing(capsys, monkeypatch):
         return value + div.coefficient(2) * 2 if curve.j == 4 else value
 
     monkeypatch.setattr(divisors_mod, "intersect_c_curve", broken)
-    code, out, _ = run(capsys, ["paper-report", "--samples", "2"])
+    code, out, _ = run(capsys, ["paper-report"])
     assert code == 1
     assert "FAIL C4.B2" in out
 
@@ -936,7 +937,7 @@ def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "sixpoint.cli", "paper-report", "--samples", "1"],
+            [sys.executable, "-m", "sixpoint.cli", "paper-report"],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,

@@ -146,6 +146,18 @@ def test_intersection_input_validation():
         FCurve((0, 2, 2, 2))
     with pytest.raises(ValueError):
         CCurve(1)
+    # parts and indices are exact integers: truncating 3/2 to 1 would name F(1,1,1,3)
+    with pytest.raises(ValueError, match="parts must be integers, got 3/2, 1, 1, 3"):
+        FCurve((Fraction(3, 2), 1, 1, 3))
+    with pytest.raises(TypeError, match="got str '1'"):
+        FCurve(("1", 1, 1, 3))
+    with pytest.raises(ValueError, match="curve index must be an integer, got 7/2"):
+        CCurve(Fraction(7, 2))
+    with pytest.raises(TypeError, match="got str '3'"):
+        CCurve("3")
+    assert FCurve((Fraction(6, 2), 1, True, 1)) == FCurve((1, 1, 1, 3))
+    assert repr(CCurve(Fraction(4, 1))) == "CCurve(j=4)"
+    assert type(CCurve(Fraction(4, 1)).j) is int
 
 
 def test_four_part_partitions():

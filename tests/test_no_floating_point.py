@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sixpoint
-from sixpoint.divisors import SymmetricDivisor, boundary, from_k_psi
+from sixpoint.divisors import CCurve, FCurve, SymmetricDivisor, boundary, from_k_psi
 from sixpoint.exact import integer_vector
 from sixpoint.genus2 import M2Divisor, Space, hassett_keel_divisor
 from sixpoint.stability import PointConfiguration, WeightVector
@@ -69,6 +69,8 @@ FLOAT_INPUTS = {
     "SymmetricDivisor coefficient": lambda: SymmetricDivisor(6, {2: 0.5}),
     "SymmetricDivisor scalar": lambda: 0.5 * boundary(6, 2),
     "from_k_psi": lambda: from_k_psi(6, 0.5, 1),
+    "FCurve": lambda: FCurve((1.9, 1, 1, 3)),
+    "CCurve": lambda: CCurve(3.0),
     "M2Divisor": lambda: M2Divisor(Space.STACK, delta0=0.5),
     "hassett_keel_divisor": lambda: hassett_keel_divisor(0.7),
     "WeightVector": lambda: WeightVector(2, [0.5] * 6),

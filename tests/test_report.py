@@ -22,6 +22,6 @@ def test_build_report_calls_each_traced_builder_once_through_the_module(monkeypa
 
     for name in TRACED:
         monkeypatch.setattr(report, name, recording(name, getattr(report, name)))
-    result = report.build_report(duality_samples=2)
+    result = report.build_report()
     assert sorted(calls) == sorted(TRACED)
     assert result.passed

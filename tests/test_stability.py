@@ -72,6 +72,10 @@ def test_weight_vector_validation():
     with pytest.raises(ValueError):
         WeightVector(1, [0, 1, 1])
     assert symmetric_weights(6, 2).weights == (Fraction(1, 2),) * 6
+    # the weights (d + 1)/n need a point to share d + 1
+    for n in (0, -2):
+        with pytest.raises(ValueError, match=f"at least one point, got n={n}"):
+            symmetric_weights(n, 2)
 
 
 def test_doubled_vertices_strictly_semistable_with_both_witness_shapes():
