@@ -48,7 +48,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exact import parse_rational
+from .exact import _check_digit_count, _clipped, parse_rational
 
 if TYPE_CHECKING:
     from .divisors import CCurve, FCurve, SymmetricDivisor
@@ -89,6 +89,10 @@ def parse_divisor_expression(text: str, n: int = 6) -> SymmetricDivisor:
             if n != 6:
                 raise CLIError(f"parse error at position {at}: DA needs n=6, got n={n}")
             return canonical_polarization()
+        try:
+            _check_digit_count(name[1:])
+        except ValueError as exc:
+            raise CLIError(f"parse error at position {at}: {exc}") from None
         index = int(name[1:])
         if not 2 <= index <= n - 2:
             raise CLIError(
@@ -171,13 +175,16 @@ _INTEGER_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 def _csv_integers(text: str, flag: str) -> list[int]:
     """The comma-separated fields of a flag's value, each an optionally
-    signed run of ASCII digits."""
+    signed run of ASCII digits that int() converts."""
     fields = _csv_fields(text, flag)
     for position, field in enumerate(fields, start=1):
+        where = f"{flag}: field {position} of {len(fields)}"
         if not _INTEGER_FIELD.fullmatch(field):
-            raise CLIError(
-                f"{flag}: field {position} of {len(fields)} is not an integer: {field!r}"
-            )
+            raise CLIError(f"{where} is not an integer: {field!r}")
+        try:
+            _check_digit_count(field)
+        except ValueError as exc:
+            raise CLIError(f"{where}: {exc}") from None
     return [int(field) for field in fields]
 
 
@@ -193,6 +200,7 @@ def _parse_curve(text: str) -> FCurve | CCurve:
     def integer(field: str) -> int:
         if not _INTEGER_FIELD.fullmatch(field):
             raise ValueError(f"not an integer: {field!r}")
+        _check_digit_count(field)
         return int(field)
 
     head, _, body = text.partition(":")
@@ -202,7 +210,7 @@ def _parse_curve(text: str) -> FCurve | CCurve:
         if head == "C":
             return CCurve(integer(body))
     except ValueError as exc:
-        raise CLIError(f"bad curve spec {text!r}: {exc}") from exc
+        raise CLIError(f"bad curve spec {_clipped(text)}: {exc}") from exc
     raise CLIError(f"bad curve spec {text!r} (use F:a,b,c,d or C:j)")
 
 
@@ -527,22 +535,30 @@ def _paper_report(args) -> tuple[list[str], dict]:
     return lines, {"pass": report.passed, "checks": report.total_checks, "groups": groups}
 
 
+def _argument_int(text: str, least: int, expected: str) -> int:
+    """An argparse type's value: ASCII digits only (``str.isdigit`` passes
+    ``'²'``, which int refuses, and ``'١'``) that int() converts, at least
+    ``least``.  argparse reports an ArgumentTypeError's own message."""
+    try:
+        _check_digit_count(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not (text.isascii() and text.isdigit()) or int(text) < least:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     """argparse type for ``--samples``, ``--dim`` and ``--n``: a bad value
-    is a usage error before any file is read or work is done.  ASCII only:
-    ``str.isdigit`` passes ``'²'`` (int refuses it) and ``'١'``."""
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    is a usage error before any file is read or work is done."""
+    return _argument_int(text, 1, "a positive integer")
 
 
 def _nonnegative_int(text: str) -> int:
     """argparse type for ``--seed``: random.Random(-s) is seeded like
     Random(s), so a negative seed would repeat another seed's draws under
     its own name."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
+    return _argument_int(text, 0, "a nonnegative integer")
 
 
 _COMMANDS = {

@@ -165,9 +165,10 @@ class FCurve(_Value):
     partition: tuple[int, int, int, int]
 
     def __init__(self, partition):
-        parts = tuple(sorted(_integers(partition, "parts must be integers")))
+        read = _integers(partition, "parts must be integers")
+        parts = tuple(sorted(read))
         if len(parts) != 4 or any(p < 1 for p in parts):
-            raise ValueError(f"need four positive parts, got {partition}")
+            raise ValueError(f"need four positive parts, got {read}")
         object.__setattr__(self, "partition", parts)
 
     @property

@@ -24,6 +24,8 @@ sets its fields with ``object.__setattr__``.
 from __future__ import annotations
 
 import numbers
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -82,14 +84,32 @@ def parse_rational(text: str) -> Fraction:
 
     Only ASCII text without underscores is read: ``Fraction`` alone would
     also take other scripts' digits ('٣') and underscores between digits
-    ('1_0').
+    ('1_0').  A run of digits longer than Python converts is refused by
+    :func:`_check_digit_count`.
     """
+    _check_digit_count(text)
     try:
         if not text.isascii() or "_" in text:
             raise ValueError("not ASCII digits without underscores")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
+
+
+def _check_digit_count(text: str) -> None:
+    """Refuse text holding a run of more ASCII digits than ``int`` and
+    ``Fraction`` convert (``sys.get_int_max_str_digits()``, 4300 unless
+    changed; 0, or an interpreter without the limit, means none) with a
+    ValueError that names the limit and echoes only the text's head."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if 0 < limit < len(text) and max(map(len, re.findall("[0-9]+", text)), default=0) > limit:
+        raise ValueError(f"numeral {_clipped(text.strip())} has more than {limit} digits")
+
+
+def _clipped(text: str) -> str:
+    """The repr of ``text``, cut to its first 20 characters and marked
+    with '...' when it is longer."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
 
 
 def _rational(value) -> Fraction:

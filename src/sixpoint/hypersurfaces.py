@@ -120,6 +120,16 @@ def _constant_gradient(surface: Hypersurface, point: tuple[int, ...]) -> bool:
     return len(set(gradient(surface, point))) == 1
 
 
+# S_6 index sets: the 15 duads (the crossings of the quartic's lines), the 15
+# synthemes, three disjoint duads in lexicographic order (its lines), and the
+# 10 triads holding index 0 (the cubic's nodes, one per 3+3 split)
+_DUADS = tuple(itertools.combinations(range(6), 2))
+_SYNTHEMES = tuple(
+    s for s in itertools.combinations(_DUADS, 3) if len({*s[0], *s[1], *s[2]}) == 6
+)
+_TRIADS = tuple(t for t in itertools.combinations(range(6), 3) if t[0] == 0)
+
+
 class PairLine(_Value):
     """A line of the quartic: coordinates constant on three index pairs,
     with the three pair values summing to zero."""
@@ -132,18 +142,7 @@ class PairLine(_Value):
 
 def pair_partition_lines() -> tuple[PairLine, ...]:
     """The fifteen pairings of the six coordinates into three pairs."""
-
-    def matchings(indices):
-        if not indices:
-            yield ()
-            return
-        first = indices[0]
-        for k in range(1, len(indices)):
-            rest = indices[1:k] + indices[k + 1 :]
-            for tail in matchings(rest):
-                yield ((first, indices[k]),) + tail
-
-    return tuple(PairLine(m) for m in matchings(tuple(range(6))))
+    return tuple(PairLine(s) for s in _SYNTHEMES)
 
 
 def line_point(line: PairLine, a, b) -> tuple:
@@ -163,28 +162,23 @@ def line_intersections() -> dict[tuple[int, ...], tuple[int, ...]]:
     Two lines meet exactly when their pairings share one pair {i, j}: the
     other two pairs of each line force the four remaining coordinates to
     one value, and the sum-zero condition gives coordinates i and j minus
-    twice that value.  That point lies on exactly the three lines whose
-    pairings hold {i, j}, so there is one point per pair.  Returns
+    twice that value, one point per pair.  The lines through a point are
+    read off the point itself: a point of the sum-zero hyperplane lies on
+    a line exactly when it is constant on the line's three pairs.  Returns
     canonical point -> sorted tuple of indices of the lines through it,
     with the points in the order of their pairs.
     """
-    lines = pair_partition_lines()
+    points = (integer_vector([-2 if k in duad else 1 for k in range(6)]) for duad in _DUADS)
     return {
-        integer_vector([-2 if k in pair else 1 for k in range(6)]): tuple(
-            n for n, line in enumerate(lines) if pair in line.pairs
-        )
-        for pair in itertools.combinations(range(6), 2)
+        p: tuple(n for n, s in enumerate(_SYNTHEMES) if all(p[i] == p[j] for i, j in s))
+        for p in points
     }
 
 
 def segre_nodes() -> tuple[tuple[int, ...], ...]:
     """The ten nodes of the cubic: permutations of (1,1,1,-1,-1,-1) up to
     global sign, normalized so coordinate zero carries +1."""
-    nodes = []
-    for extra in itertools.combinations(range(1, 6), 2):
-        plus = {0, *extra}
-        nodes.append(tuple(1 if i in plus else -1 for i in range(6)))
-    return tuple(nodes)
+    return tuple(tuple(1 if i in triad else -1 for i in range(6)) for triad in _TRIADS)
 
 
 def pair_pattern_point(a, b, c) -> tuple:

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -34,6 +37,21 @@ def usage_error(capsys, argv):
         cli.main(argv)
     captured = capsys.readouterr()
     return exc.value.code, captured.out, captured.err.splitlines()[-1]
+
+
+def invalid_choice(prog, dest, choices, value):
+    """argparse's own error line for ``value`` taken as a subcommand of
+    ``prog``, from a throwaway parser with the same choices: the wording is
+    argparse's and changes between versions (3.11 quotes the choices,
+    3.13 does not)."""
+    parser = argparse.ArgumentParser(prog=prog)
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for choice in choices:
+        sub.add_parser(choice)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), pytest.raises(SystemExit):
+        parser.parse_args([value])
+    return stderr.getvalue().splitlines()[-1]
 
 
 STRATUM_I = """# three doubled coordinate vertices
@@ -496,6 +514,89 @@ def test_only_ascii_digits_without_underscores_are_read(capsys, stratum_file, ar
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
+# a numeral one digit past the default limit of int() and Fraction
+LONG = "1" * 4301
+TOO_LONG = "numeral '11111111111111111111'... has more than 4300 digits"
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["divisor", "eval", "--expr", "B2", "--n", LONG],
+         "sixpoint divisor eval: error: argument --n: "),
+        (["git", "stability", "CONFIG", "--dim", LONG],
+         "sixpoint git stability: error: argument --dim: "),
+        (["hypersurface", "duality", "--samples", LONG],
+         "sixpoint hypersurface duality: error: argument --samples: "),
+        (["hypersurface", "duality", "--seed", LONG],
+         "sixpoint hypersurface duality: error: argument --seed: "),
+        (["git", "limit", "CONFIG", "--lps", f"{LONG},0,0"], "error: --lps: field 1 of 3: "),
+        (["divisor", "intersect", "--expr", "DA", "--curve", f"F:{LONG},1,1,3"],
+         "error: bad curve spec 'F:111111111111111111'...: "),
+        (["divisor", "intersect", "--expr", "DA", "--curve", f"C:{LONG}"],
+         "error: bad curve spec 'C:111111111111111111'...: "),
+        (["divisor", "eval", "--expr", f"{LONG}*B2"], "error: parse error at position 0: "),
+        (["divisor", "eval", "--expr", f"B2 + B{LONG}"], "error: parse error at position 5: "),
+        (["hypersurface", "eval", "--surface", "segre", "--point", f"{LONG},0,0,0,0,0"],
+         "error: point: "),
+        (["git", "stability", "CONFIG", "--weights", f"{LONG},1,1,1,1,1"], "error: weights: "),
+        (["git", "stability", "CONFIG", "--weights-file", "WEIGHTS"], "error: weights: "),
+        (["git", "stratum", "LONG_CONFIG"], "error: line 1: "),
+        (["m2", "--alpha", LONG], "error: --alpha: "),
+    ],
+)
+def test_a_numeral_past_the_digit_limit_is_refused_briefly(
+    capsys, tmp_path, stratum_file, argv, prefix
+):
+    # int() and Fraction refuse more than 4300 digits with a message that
+    # names no input and suggests changing the interpreter; each input says
+    # which of its numerals is too long, echoing only its head
+    (tmp_path / "weights").write_text(f"{LONG},1,1,1,1,1\n")
+    (tmp_path / "long.cfg").write_text(f"{LONG} 0 1\n")
+    files = {
+        "CONFIG": stratum_file,
+        "WEIGHTS": str(tmp_path / "weights"),
+        "LONG_CONFIG": str(tmp_path / "long.cfg"),
+    }
+    argv = [files.get(arg, arg) for arg in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert (code, captured.out, lines[-1]) == (2, "", prefix + TOO_LONG)
+    assert len(lines[-1]) < 200
+    # argparse prints its usage first; nothing else comes before the error
+    assert all(line.startswith(("usage: ", " ")) for line in lines[:-1])
+    assert len(lines) == 1 or prefix.startswith("sixpoint ")
+
+
+def test_a_numeral_at_the_digit_limit_is_read(capsys, stratum_file):
+    digits = "1" * 4300
+    assert parse_rational(digits) == int(digits)
+    assert parse_rational(f" -{digits}/{digits} ") == -1
+    for argv in (
+        ["divisor", "eval", "--expr", f"{digits}*B2"],
+        ["hypersurface", "eval", "--surface", "segre", "--point", f"{digits},-{digits},0,0,0,0"],
+        ["hypersurface", "duality", "--samples", "3", "--seed", digits],
+        ["git", "limit", stratum_file, "--lps", f"{digits},0,0"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+
+
+def test_the_digit_limit_is_the_interpreters():
+    # PYTHONINTMAXSTRDIGITS=0 lifts int()'s limit, and the check with it
+    env = dict(os.environ, PYTHONPATH=str(Path(sixpoint.__file__).parents[1]), PYTHONINTMAXSTRDIGITS="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sixpoint.cli", "divisor", "eval", "--expr", f"{LONG}*B2"],
+        capture_output=True, env=env, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert f"B2: {LONG}\n" in proc.stdout
+
+
 def test_flags_before_the_action_get_a_hint(capsys, stratum_file):
     # a flag the chosen action reads, put before it, is left unread by
     # argparse; the error then says where flags go
@@ -523,19 +624,21 @@ def test_a_flag_value_taken_for_the_action_gets_the_hint(capsys):
     # argparse takes the value of a flag put before the action for the
     # action; when an action of the command reads that flag, the error says
     # where flags go
-    hyp = ("sixpoint hypersurface: error: argument action: invalid choice: {!r} (choose from"
-           " 'eval', 'singular', 'lines', 'nodes', 'duality')")
-    div = ("sixpoint divisor: error: argument action: invalid choice: 'B2' (choose from"
-           " 'eval', 'intersect', 'chamber', 'baselocus')")
+    def hyp(value):
+        return invalid_choice("sixpoint hypersurface", "action",
+                              ["eval", "singular", "lines", "nodes", "duality"], value)
+
+    div = invalid_choice("sixpoint divisor", "action",
+                         ["eval", "intersect", "chamber", "baselocus"], "B2")
     cases = [
         (["hypersurface", "--samples", "5", "duality"],
-         hyp.format("5") + " (flags go after the action: sixpoint hypersurface duality"
+         hyp("5") + " (flags go after the action: sixpoint hypersurface duality"
          " --samples 5 ...)"),
         (["divisor", "--expr", "B2", "chamber"],
          div + " (flags go after the action: sixpoint divisor chamber --expr B2 ...)"),
         # no hint when the flag takes no value, or no action reads it
-        (["hypersurface", "--json", "5", "duality"], hyp.format("5")),
-        (["hypersurface", "--lps", "1,0,0", "duality"], hyp.format("1,0,0")),
+        (["hypersurface", "--json", "5", "duality"], hyp("5")),
+        (["hypersurface", "--lps", "1,0,0", "duality"], hyp("1,0,0")),
     ]
     for argv, last in cases:
         assert usage_error(capsys, argv) == (2, "", last), argv
@@ -545,17 +648,19 @@ def test_a_flag_value_taken_for_the_command_gets_the_hint(capsys):
     # the same one level up: the value of a flag put before the command is
     # taken for the command; when the command named later declares that
     # flag, the error says where flags go
-    root = ("sixpoint: error: argument command: invalid choice: {!r} (choose from"
-            " 'divisor', 'git', 'hypersurface', 'm2', 'paper-report')")
+    def root(value):
+        return invalid_choice("sixpoint", "command",
+                              ["divisor", "git", "hypersurface", "m2", "paper-report"], value)
+
     cases = [
         (["--alpha", "1", "m2"],
-         root.format("1") + " (flags go after the command: sixpoint m2 --alpha 1 ...)"),
+         root("1") + " (flags go after the command: sixpoint m2 --alpha 1 ...)"),
         # no hint for a flag no command reads, one that takes no value, or
         # one that only an action of the command reads
-        (["--tol", "5", "paper-report"], root.format("5")),
-        (["--samples", "5", "paper-report"], root.format("5")),
-        (["--json", "5", "paper-report"], root.format("5")),
-        (["--samples", "5", "hypersurface", "duality"], root.format("5")),
+        (["--tol", "5", "paper-report"], root("5")),
+        (["--samples", "5", "paper-report"], root("5")),
+        (["--json", "5", "paper-report"], root("5")),
+        (["--samples", "5", "hypersurface", "duality"], root("5")),
     ]
     for argv, last in cases:
         assert usage_error(capsys, argv) == (2, "", last), argv

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -142,8 +143,11 @@ def test_intersection_input_validation():
         intersect_f_curve(K(), FCurve((1, 1, 1, 2)))
     with pytest.raises(ValueError):
         intersect_c_curve(K(), CCurve(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("need four positive parts, got (0, 2, 2, 2)")):
         FCurve((0, 2, 2, 2))
+    # the message shows the parts read, in the order given, not the iterable
+    with pytest.raises(ValueError, match=re.escape("need four positive parts, got (0, 1, 1, 4)")):
+        FCurve(p for p in (0, 1, 1, 4))
     with pytest.raises(ValueError):
         CCurve(1)
     # parts and indices are exact integers: truncating 3/2 to 1 would name F(1,1,1,3)

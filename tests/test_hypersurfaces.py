@@ -112,6 +112,13 @@ def test_line_incidence_structure():
     # the crossing points are the quadruple-coordinate points, all singular
     for point in crossings:
         assert is_singular_point(IGUSA, point)
+    # a line is listed for a point exactly when the point is on it: the
+    # line's point with the point's values on its first two pairs
+    lines = pair_partition_lines()
+    for point, through in crossings.items():
+        for n, line in enumerate(lines):
+            (i, _), (j, _), _ = line.pairs
+            assert (n in through) == (line_point(line, point[i], point[j]) == point)
 
 
 def test_ten_nodes_on_the_cubic():
