@@ -695,7 +695,14 @@ def main(argv=None) -> int:
     try:
         lines, payload = args.run(args)
     except (CLIError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # inputs are held to the interpreter's digit limit when read, so
+        # Python's own refusal to write an int past it is about a result
+        message = re.sub(
+            r"Exceeds the limit \((\d+) digits\) for integer string conversion.*",
+            r"the result holds a number of more than \1 digits, too long to print",
+            str(exc),
+        )
+        print(f"error: {message}", file=sys.stderr)
         return 2
     if args.json:
         import json

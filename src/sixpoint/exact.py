@@ -85,9 +85,15 @@ def parse_rational(text: str) -> Fraction:
     Only ASCII text without underscores is read: ``Fraction`` alone would
     also take other scripts' digits ('٣') and underscores between digits
     ('1_0').  A run of digits longer than Python converts is refused by
-    :func:`_check_digit_count`.
+    :func:`_check_digit_count`, and so is a decimal exponent ('1e5000')
+    larger in magnitude than that limit, before ``Fraction`` builds the
+    power of ten: the number it writes has more digits than that.
     """
     _check_digit_count(text)
+    exponent = re.search("[eE][+-]?([0-9]+)", text)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if exponent and 0 < limit < int(exponent[1]):
+        raise ValueError(f"numeral {_clipped(text.strip())} has an exponent past {limit}")
     try:
         if not text.isascii() or "_" in text:
             raise ValueError("not ASCII digits without underscores")

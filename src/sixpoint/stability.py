@@ -15,7 +15,8 @@ for six points in the plane.  The plane runs no elimination: one table of
 the support's brackets (p_a x p_b) . p_c (:func:`_plane_brackets`) gives
 its lines and the conic test [123][145][246][356] = [124][135][236][456].
 A configuration keeps its support, flats, brackets and last stability
-verdict, so asking again is a lookup.
+verdict (and ``strata`` keeps its stratum signature on it), so asking
+again is a lookup.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class PointConfiguration(_Value):
             if len(p) != d + 1:
                 raise ValueError(f"point {tuple(p)} does not have {d + 1} coordinates")
             v = integer_vector(p)
-            if all(x == 0 for x in v):
+            if not any(v):
                 raise ValueError("zero vector is not a projective point")
             canon.append(v)
         object.__setattr__(self, "d", d)
@@ -93,13 +94,16 @@ class PointConfiguration(_Value):
         is first reached.
 
         Most subsets are skipped.  The point flats are the coincidence
-        classes.  A subset of size k whose points all lie on a flat of
-        dimension k - 1 found before it spans that flat or a smaller one,
-        and a subset of rank below k spans a flat reached by a smaller
-        subset.  In the plane, distinct canonical points p, q span a line
-        and r lies on it exactly when the bracket of p, q, r is 0.  For
-        d >= 3 the subset is reduced by :func:`echelon`, and p lies on its
-        span when adding p to the reduced rows leaves the rank unchanged.
+        classes, and every flat's marks are its points' classes merged.  A
+        subset of size k whose points all lie on a flat of dimension k - 1
+        found before it spans that flat or a smaller one, and a subset of
+        rank below k spans a flat reached by a smaller subset.  In the
+        plane, distinct canonical points p, q span a line and r lies on it
+        exactly when the bracket of p, q, r is 0; a pair with no third
+        point is its own two-point line, and only a line through a third
+        point covers the pairs on it.  For d >= 3 the subset is reduced by
+        :func:`echelon`, and p lies on its span when adding p to the
+        reduced rows leaves the rank unchanged.
 
         A flat is the span of its own marks: they include the points that
         generate it and all lie on it.  So distinct flats carry distinct
@@ -110,24 +114,34 @@ class PointConfiguration(_Value):
         the cached value cannot go stale.
         """
         support = self.support()
-        slot = {p: k for k, p in enumerate(support)}
-        slots = [slot[p] for p in self.points]  # support index of each mark
-        found = [(0, tuple(i for i, s in enumerate(slots) if s == k)) for k in range(len(support))]
-        thirds = self._brackets[1] if self.d == 2 else None
+        marks_at: dict[tuple[int, ...], list[int]] = {}
+        for i, p in enumerate(self.points):
+            marks_at.setdefault(p, []).append(i)
+        classes = list(marks_at.values())  # the coincidence classes, in support order
+        found = [(0, tuple(marks)) for marks in classes]
+        if self.d == 2:
+            thirds = self._brackets[1]
+            covered: set[tuple[int, ...]] = set()  # pairs on a line through three or more points
+            for pair in itertools.combinations(range(len(support)), 2):
+                if pair not in thirds:
+                    a, b = pair
+                    found.append((1, tuple(sorted(classes[a] + classes[b]))))
+                elif pair not in covered:
+                    on = sorted((*pair, *thirds[pair]))
+                    covered.update(itertools.combinations(on, 2))
+                    found.append((1, tuple(sorted([i for k in on for i in classes[k]]))))
+            return tuple(found)
         for size in range(2, min(self.d, len(support)) + 1):
-            covered: set[tuple[int, ...]] = set()  # subsets on a flat of dimension size - 1
+            covered = set()  # subsets on a flat of dimension size - 1
             for subset in itertools.combinations(range(len(support)), size):
                 if subset in covered:
                     continue
-                if self.d == 2:
-                    on = sorted((*subset, *thirds[subset])) if subset in thirds else subset
-                else:
-                    rows, pivots = echelon(support[k] for k in subset)
-                    if len(pivots) < size:
-                        continue
-                    on = [k for k, p in enumerate(support) if len(echelon([*rows, p])[1]) == size]
+                rows, pivots = echelon(support[k] for k in subset)
+                if len(pivots) < size:
+                    continue
+                on = [k for k, p in enumerate(support) if len(echelon([*rows, p])[1]) == size]
                 covered.update(itertools.combinations(on, size))
-                found.append((size - 1, tuple(i for i, s in enumerate(slots) if s in on)))
+                found.append((size - 1, tuple(sorted([i for k in on for i in classes[k]]))))
         return tuple(found)
 
     @cached_property
@@ -252,7 +266,7 @@ def stability_status(config: PointConfiguration, weights: WeightVector) -> Stabi
     int_weights, scale = weights._integer_weights
     found = []
     for dim, marks in config.flats:
-        total = sum(int_weights[i] for i in marks)
+        total = sum(map(int_weights.__getitem__, marks))
         bound = (dim + 1) * scale
         if total >= bound:
             found.append(Witness(
@@ -335,8 +349,9 @@ def _limit_points(
     these weights, by the rule of :func:`one_parameter_limit`."""
     limits = []
     for p in points:
-        lowest = min([w for w, x in zip(weights, p) if x])
-        limits.append(tuple([x if w == lowest else 0 for w, x in zip(weights, p)]))
+        pairs = list(zip(weights, p))
+        lowest = min([w for w, x in pairs if x])
+        limits.append(tuple([x if w == lowest else 0 for w, x in pairs]))
     return limits
 
 

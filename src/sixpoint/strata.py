@@ -91,21 +91,34 @@ def stratum_signature(config: PointConfiguration) -> StratumSignature:
     class of marks; a line flat is recorded when it carries at least three
     distinct support points, or at least four marks counted with
     multiplicity (the join of two doubled points has only two support
-    points but is a tight subspace all the same).
+    points but is a tight subspace all the same), so a line with fewer
+    than three marks is passed over at once.
+
+    The configuration keeps its signature, as it keeps its verdict, so
+    asking again (as :func:`polystable_degeneration` does for the caller's
+    input) is a lookup.  Like the verdict it is no field: it takes no part
+    in equality, hash or repr, and the configuration is immutable, so it
+    cannot go stale.
     """
+    memo = config.__dict__.get("_signature")
+    if memo is not None:
+        return memo
     if config.d != 2:
         raise ValueError("stratum signatures are defined for plane configurations")
-    coincidence = tuple(sorted(marks for dim, marks in config.flats if dim == 0))
+    flats = config.flats
+    coincidence = tuple(sorted(marks for dim, marks in flats if dim == 0))
     lines = []
-    for dim, marks in config.flats:
-        if dim == 1:
+    for dim, marks in flats:
+        if dim == 1 and len(marks) >= 3:
             support = len({config.points[i] for i in marks})
             if support >= 3 or len(marks) >= 4:
                 lines.append(LineRecord(marks=marks, support=support, weighted=len(marks)))
-    return StratumSignature(
+    signature = StratumSignature(
         coincidence=coincidence,
         lines=tuple(sorted(lines, key=lambda rec: rec.marks)),
     )
+    config.__dict__["_signature"] = signature
+    return signature
 
 
 def classify_stratum(sig: StratumSignature, verdict: StabilityVerdict) -> str:
@@ -184,10 +197,11 @@ def polystable_degeneration(config: PointConfiguration) -> tuple[PointConfigurat
       L at x0 = 0, or q at e2 with L = span(e0, e1).  There q's flag does
       not move, and p's limit merges the two single marks on L, reaching I.
 
-    A caller that has judged the input with the shared symmetric weights
-    has left that verdict on the configuration, so the check below reads it
-    back.  Each limit that advances is built once and judged afresh; a
-    flag whose limit does not move builds no configuration.
+    A caller that has judged the input with the shared symmetric weights,
+    and asked for its signature, has left both on the configuration, so
+    the check below and the first pass read them back.  Each limit that
+    advances is built once, judged and signed afresh; a flag whose limit
+    does not move builds no configuration.
     """
     if config.d != 2 or config.n != 6:
         raise ValueError("degeneration is defined for six points in the plane")

@@ -597,6 +597,39 @@ def test_the_digit_limit_is_the_interpreters():
     assert f"B2: {LONG}\n" in proc.stdout
 
 
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["m2", "--alpha", "1e1000000"], "--alpha: numeral '1e1000000' has an exponent past 4300"),
+        (["git", "stability", "CONFIG", "--weights", "1e-100000,1,1,1,1,1"],
+         "weights: numeral '1e-100000' has an exponent past 4300"),
+    ],
+)
+def test_a_decimal_exponent_past_the_digit_limit_is_refused(capsys, stratum_file, argv, message):
+    # Fraction would build the power of ten in full first; the weights then
+    # printed Python's own message about the limit
+    argv = [stratum_file if arg == "CONFIG" else arg for arg in argv]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["m2", "--alpha", "1" * 4300],
+        ["hypersurface", "eval", "--surface", "segre", "--point", "1" * 2000 + ",0,0,0,0,0"],
+    ],
+)
+def test_a_result_past_the_digit_limit_is_refused_briefly(capsys, argv):
+    # inputs at the limit are read, but Python cannot write the result's
+    # longer numbers; its own message names nothing and suggests changing
+    # the interpreter
+    code, out, err = run(capsys, argv)
+    message = "error: the result holds a number of more than 4300 digits, too long to print\n"
+    assert (code, out, err) == (2, "", message)
+    assert len(err) < 200
+
+
 def test_flags_before_the_action_get_a_hint(capsys, stratum_file):
     # a flag the chosen action reads, put before it, is left unread by
     # argparse; the error then says where flags go

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from sixpoint import exact
 from sixpoint.exact import (
     RationalMatrix,
     _cleared,
@@ -138,6 +139,24 @@ def test_parse_rational():
     for text in ("٣", "١/٢", "1_0", "1/1_0", "３"):
         with pytest.raises(ValueError, match="not a rational number"):
             parse_rational(text)
+
+
+def test_a_decimal_exponent_past_the_digit_limit_is_refused_before_fraction(monkeypatch):
+    # Fraction builds 10**exponent in full: '1e1000000' took a third of a
+    # second, and four times the exponent eight times as long
+    assert parse_rational("1e4300") == 10**4300
+    assert parse_rational("-1E-4300") == Fraction(-1, 10**4300)
+
+    def forbidden(*args):
+        raise AssertionError("Fraction was called")
+
+    monkeypatch.setattr(exact, "Fraction", forbidden)
+    for text in ("1e4301", "1e1000000", "2.5E-100000", " 1e+0000004301 "):
+        with pytest.raises(ValueError, match="has an exponent past 4300$"):
+            parse_rational(text)
+    # the echo is clipped as for a long numeral
+    with pytest.raises(ValueError, match=r"^numeral '1e999999999999999999'\.\.\. has an"):
+        parse_rational("1e" + "9" * 30)
 
 
 def random_matrix(rng, rows, cols):

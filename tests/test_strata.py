@@ -248,11 +248,13 @@ def test_transformed_limit_is_the_limit_of_the_image_when_it_moves():
 
 @pytest.fixture
 def judgement_spy(monkeypatch):
-    """Configurations whose flats are scanned, and verdicts built, from here
-    on: a verdict read back from a configuration's memo adds neither."""
-    scans, verdicts = [], []
+    """Configurations whose flats are scanned, and verdicts and signatures
+    built, from here on: a verdict or signature read back from a
+    configuration's memo adds none of them."""
+    scans, verdicts, signatures = [], [], []
     scan = PointConfiguration.flats.func
     verdict_class = stability.StabilityVerdict
+    signature_class = strata.StratumSignature
 
     def counting_scan(config):
         scans.append(config)
@@ -262,17 +264,22 @@ def judgement_spy(monkeypatch):
         verdicts.append(fields)
         return verdict_class(**fields)
 
+    def counting_signature(**fields):
+        signatures.append(fields)
+        return signature_class(**fields)
+
     flats = cached_property(counting_scan)
     flats.__set_name__(PointConfiguration, "flats")
     monkeypatch.setattr(PointConfiguration, "flats", flats)
     monkeypatch.setattr(stability, "StabilityVerdict", counting_verdict)
-    return scans, verdicts
+    monkeypatch.setattr(strata, "StratumSignature", counting_signature)
+    return scans, verdicts, signatures
 
 
 def test_a_held_verdict_is_read_back_and_only_advancing_limits_are_judged(
     judgement_spy, limit_spy
 ):
-    scans, verdicts = judgement_spy
+    scans, verdicts, signatures = judgement_spy
     rng = random.Random(67)
     advanced = 0
     for label in DOLGACHEV_ORTLAND:
@@ -281,15 +288,28 @@ def test_a_held_verdict_is_read_back_and_only_advancing_limits_are_judged(
             apply_transformation(random_transformation(rng, 2), template).points for _ in range(3)
         ]:
             config = PointConfiguration(2, points)
-            stability_status(config, W)  # the caller's verdict, as in the census
+            # the caller's verdict and signature, as in the census
+            classify_stratum(stratum_signature(config), stability_status(config, W))
             scans.clear()
             verdicts.clear()
+            signatures.clear()
             (_, target), _ = degenerate_within_bound(config, limit_spy)
             assert target == DOLGACHEV_ORTLAND[label].closed_orbit
-            assert len(scans) == len(verdicts) == sum(limit_spy), (label, points)
+            advancing = sum(limit_spy)
+            assert len(scans) == len(verdicts) == len(signatures) == advancing, (label, points)
             assert all(limit is not config for limit in scans)
-            advanced += sum(limit_spy)
+            advanced += advancing
     assert advanced > 0
+
+
+def test_the_signature_is_kept_and_is_not_part_of_the_value():
+    signed, fresh = stratum_representative("II"), stratum_representative("II")
+    sig = stratum_signature(signed)
+    assert stratum_signature(signed) is sig
+    assert signed == fresh
+    assert hash(signed) == hash(fresh)
+    assert repr(signed) == repr(fresh) == f"PointConfiguration(d=2, points={fresh.points!r})"
+    assert stratum_signature(fresh) == sig and stratum_signature(fresh) is not sig
 
 
 def test_degeneration_rejects_non_semistable_input():
@@ -511,6 +531,23 @@ def test_census_grid_slice_closed_orbits_match_recorded_digest():
     )
 
 
+def test_census_grid_slice_flats_and_signatures_match_recorded_digest():
+    # SHA-256 over the flats and signature of every multiset of the slice
+    # and of one seeded projective image of each: any change to a flat's
+    # marks or to the order of the flats shows here
+    rng = random.Random(73)
+    digest = hashlib.sha256()
+    count = 0
+    for _, points in census_grid_slice():
+        config = PointConfiguration(2, points)
+        for c in (config, apply_transformation(random_transformation(rng, 2), config)):
+            digest.update(repr((c.flats, stratum_signature(c))).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (
+        2322, "bdaf0acfe6e23c16022506befe2e51e6b9de2e4dfd4d9b5efd87ceb305fa9492"
+    )
+
+
 def assert_lookup_matches_chain(config):
     sig = stratum_signature(config)
     verdict = stability_status(config, W)
@@ -550,3 +587,10 @@ def incident_sextuples(draw):
 @given(incident_sextuples())
 def test_lookup_matches_decision_chain_on_forced_incidences(config):
     assert_lookup_matches_chain(config)
+
+
+@settings(deadline=None, max_examples=300)
+@given(incident_sextuples())
+def test_plane_flats_come_in_dimension_then_marks_order(config):
+    # point flats by their first mark, then lines by their marks
+    assert config.flats == tuple(sorted(config.flats))
